@@ -47,10 +47,7 @@ use gdx_nre::eval::EvalCache;
 use gdx_nre::witness;
 use gdx_nre::IncrementalCache;
 use gdx_obs::Obs;
-use gdx_query::{
-    evaluate_seeded_incremental_exists, evaluate_with_scratch, PlannerMode, PreparedQuery,
-    SemiNaiveState,
-};
+use gdx_query::{evaluate_seeded_incremental_exists, PreparedQuery, SemiNaiveState};
 use gdx_runtime::{Runtime, Threads};
 
 /// Body-evaluation strategy of the target-tgd chase.
@@ -171,11 +168,12 @@ struct RuleState {
     tgd: TargetTgd,
     /// Delta-driven body matcher (cache + per-atom marks).
     body: SemiNaiveState,
-    /// Incremental relations for head-satisfaction checks.
+    /// Incremental relations and demand memos for head-satisfaction
+    /// checks.
     head: IncrementalCache,
-    /// Body and head compiled once per engine (naive mode evaluates from
-    /// cold caches every round; the automata need not be rebuilt with
-    /// them).
+    /// Body and head compiled once per engine: every head check (the
+    /// incremental one, the speculative pre-filter, naive mode's cold
+    /// caches) creates its evaluators from `head_q`'s automata.
     body_q: PreparedQuery,
     head_q: PreparedQuery,
     /// Alphabet symbols of the body NREs: an edge with a foreign label
@@ -351,8 +349,9 @@ impl TgdChaseEngine {
             // current graph (earlier firings in this batch may have
             // produced the witness), in exactly the order and with
             // exactly the outcomes of a 1-worker run.
+            let rule = &self.rules[ri];
             let spec_witnessed =
-                speculative_head_filter(graph, &self.rules[ri].tgd, &vars, &matches, &rt)?;
+                speculative_head_filter(graph, &rule.tgd, &rule.head_q, &vars, &matches, &rt)?;
             for (row, &witnessed_at_start) in matches.rows().zip(&spec_witnessed) {
                 if witnessed_at_start {
                     continue;
@@ -360,7 +359,7 @@ impl TgdChaseEngine {
                 let m: FxHashMap<Symbol, NodeId> =
                     vars.iter().copied().zip(row.iter().copied()).collect();
                 let rule = &mut self.rules[ri];
-                if head_witnessed_incremental(graph, &rule.tgd, &m, &mut rule.head)? {
+                if head_witnessed_incremental(graph, rule, &m)? {
                     continue;
                 }
                 // Budget check precedes the firing: a chase that reaches
@@ -480,9 +479,9 @@ fn head_witnessed(
 const SPEC_MIN_ROWS: usize = 512;
 
 /// Speculatively head-checks a batch of body matches against the current
-/// graph, one worker chunk at a time, each worker with its own scratch
-/// [`EvalCache`] (a `PreparedQuery`'s demand pool cannot cross threads —
-/// see [`gdx_query::evaluate_with_scratch`]). Returns one flag per row:
+/// graph, one worker chunk at a time, through the rule's prepared head
+/// (shared by every worker) and one [`EvalCache`] per chunk for the
+/// memos. Returns one flag per row:
 /// `true` = head witnessed *now*, which by monotonicity (positive heads,
 /// growing graph) remains witnessed through all later firings, so the
 /// row can be skipped without affecting the firing sequence. `false` is
@@ -497,6 +496,7 @@ const SPEC_MIN_ROWS: usize = 512;
 fn speculative_head_filter(
     graph: &Graph,
     tgd: &TargetTgd,
+    head_q: &PreparedQuery,
     vars: &[Symbol],
     matches: &gdx_query::NodeBindings,
     rt: &Runtime,
@@ -506,8 +506,8 @@ fn speculative_head_filter(
     }
     // Row slices into the flat bindings buffer, so chunks stay slices.
     let rows: Vec<&[NodeId]> = matches.rows().collect();
-    // About two chunks per worker: each chunk pays one scratch-cache
-    // compilation, so coarse chunks amortize it.
+    // About two chunks per worker: each chunk starts a cold cache, so
+    // coarse chunks keep more of its memos warm.
     let chunk = rows.len().div_ceil(rt.workers() * 2).max(64);
     let chunks = rt.par_chunks(&rows, chunk, |_, chunk| -> Result<Vec<bool>> {
         let mut cache = EvalCache::new();
@@ -516,17 +516,7 @@ fn speculative_head_filter(
             .map(|row| {
                 let m: FxHashMap<Symbol, NodeId> =
                     vars.iter().copied().zip(row.iter().copied()).collect();
-                let seed = head_seed(tgd, &m);
-                Ok(!evaluate_with_scratch(
-                    graph,
-                    &tgd.head,
-                    &mut cache,
-                    &seed,
-                    PlannerMode::Auto,
-                    Some(1),
-                    &Runtime::sequential(),
-                )?
-                .is_empty())
+                head_q.evaluate_seeded_exists(graph, &mut cache, &head_seed(tgd, &m))
             })
             .collect()
     });
@@ -542,12 +532,11 @@ fn speculative_head_filter(
 /// across checks.
 fn head_witnessed_incremental(
     graph: &Graph,
-    tgd: &TargetTgd,
+    rule: &mut RuleState,
     body_match: &FxHashMap<Symbol, NodeId>,
-    cache: &mut IncrementalCache,
 ) -> Result<bool> {
-    let seed = head_seed(tgd, body_match);
-    evaluate_seeded_incremental_exists(graph, &tgd.head, cache, &seed)
+    let seed = head_seed(&rule.tgd, body_match);
+    evaluate_seeded_incremental_exists(graph, &rule.head_q, &mut rule.head, &seed)
 }
 
 /// Frontier variables of the head, seeded from the body match.

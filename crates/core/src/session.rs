@@ -58,9 +58,10 @@ use gdx_nre::eval::EvalCache;
 use gdx_nre::{DemandStats, Nre};
 use gdx_obs::Obs;
 use gdx_pattern::InstantiationFamily;
-use gdx_query::{evaluate_with_scratch, PreparedQuery};
+use gdx_query::PreparedQuery;
 use gdx_relational::Instance;
 use gdx_runtime::Runtime;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A stateful exchange session over one `(setting, instance)` pair.
 ///
@@ -98,10 +99,11 @@ pub struct ExchangeSession {
     engines_ready: bool,
     sameas_engine: Option<SameAsEngine>,
     tgd_engine: Option<TgdChaseEngine>,
-    /// Materialization caches for the *frozen* graphs of the solution
-    /// memo, keyed by graph identity — certain-answer queries over the
-    /// same solution reuse each other's relations. Never used for graphs
-    /// that still mutate (the candidate loop builds cold caches instead).
+    /// Evaluation caches (materialized relations and demand memos) for
+    /// the *frozen* graphs of the solution memo, keyed by graph identity —
+    /// certain-answer queries over the same solution reuse each other's
+    /// relations and memos. Never used for graphs that still mutate (the
+    /// candidate loop builds cold caches instead).
     graph_caches: FxHashMap<GraphId, EvalCache>,
     candidates_examined: usize,
     /// Observability sink threaded into every engine and parallel region
@@ -518,11 +520,10 @@ impl ExchangeSession {
             return self.certain_partial(query);
         }
         {
-            // Fan the probe out across the memoized solution family —
-            // speculative with a parallel runtime (whole family probed
-            // ahead), first-failure early exit with a sequential one —
-            // but the verdict always picks the lowest-index failure, so
-            // both are identical to the PR-3 sequential scan.
+            // Fan the probe out across the memoized solution family with
+            // a first-failure early exit (see `family_probe`): the verdict
+            // always picks the lowest-index failure, so every worker count
+            // agrees with the sequential scan.
             let memo = self.solutions_memo.take().expect("ensured");
             let holds_res = self.family_probe(&memo.graphs, query, Some(1), true);
             self.solutions_memo = Some(memo);
@@ -686,21 +687,21 @@ impl ExchangeSession {
     /// Evaluates `query` over every graph of the (temporarily detached)
     /// solution family, returning one result per graph in family order.
     ///
-    /// With a parallel runtime and several graphs, evaluations fan out
-    /// one graph per worker: each graph's persistent materialization
-    /// cache leaves `graph_caches`, is owned exclusively by its worker
-    /// (the per-worker-scratch pattern — demand automata compile into the
-    /// worker's cache, since a `PreparedQuery`'s pool cannot cross
-    /// threads), and merges back at the barrier. A single-graph family
-    /// keeps the prepared path and moves the parallelism *inside* the
-    /// evaluation instead.
+    /// One path at every worker count: each graph's persistent cache
+    /// leaves `graph_caches` for the duration of the call, the family fans
+    /// out one graph per worker through [`Runtime::par_map_mut`] (inline,
+    /// in order, at one worker), and the caches merge back at the
+    /// barrier. The shared query brings the compiled automata; each
+    /// graph's cache holds that graph's demand memos. A single-graph
+    /// family moves the parallelism *inside* its evaluation instead.
     ///
-    /// `stop_at_first_empty` restores the sequential scan's
-    /// first-counterexample early exit: the returned vector may then be a
-    /// prefix of the family, ending at its first empty result. The
-    /// parallel fan-out ignores it (probing past the first failure is the
-    /// point of speculation); callers must only rely on the *lowest-index*
-    /// empty entry, which both paths agree on.
+    /// `stop_at_first_empty` gives the scan a first-counterexample early
+    /// exit: no graph past the lowest-index empty result (or error) found
+    /// so far is started, so one worker stops exactly there, and the
+    /// returned vector is a prefix of the family ending at its first
+    /// empty result. Parallel workers may have probed a little past it;
+    /// callers only rely on the *lowest-index* empty entry, which every
+    /// schedule agrees on.
     fn family_probe(
         &mut self,
         graphs: &[Graph],
@@ -732,44 +733,53 @@ impl ExchangeSession {
     ) -> Result<Vec<gdx_query::NodeBindings>> {
         let planner = self.options.planner;
         let rt = self.runtime();
-        if !rt.is_parallel() || graphs.len() <= 1 {
-            let mut out = Vec::with_capacity(graphs.len());
-            for g in graphs {
-                let cache = self.graph_caches.entry(g.id()).or_default();
-                out.push(query.evaluate_limited_rt(
-                    g,
-                    cache,
-                    &FxHashMap::default(),
-                    planner,
-                    limit,
-                    &rt,
-                )?);
-                if stop_at_first_empty && out.last().is_some_and(|b| b.is_empty()) {
-                    break;
-                }
-            }
-            return Ok(out);
-        }
-        let cnre = query.cnre().clone();
-        let mut units: Vec<EvalCache> = graphs
+        let inner = if graphs.len() <= 1 {
+            rt.clone()
+        } else {
+            Runtime::sequential()
+        };
+        let mut caches: Vec<EvalCache> = graphs
             .iter()
             .map(|g| self.graph_caches.remove(&g.id()).unwrap_or_default())
             .collect();
-        let results = rt.par_map_mut(&mut units, |i, cache| {
-            evaluate_with_scratch(
+        // Lowest index found so far whose result ends the scan. A hint
+        // only: results travel back through the barrier, not through it.
+        let stop_at = AtomicUsize::new(usize::MAX);
+        let results = rt.par_map_mut(&mut caches, |i, cache| {
+            if stop_at.load(Ordering::Relaxed) < i {
+                return None;
+            }
+            let res = query.evaluate_limited_rt(
                 &graphs[i],
-                &cnre,
                 cache,
                 &FxHashMap::default(),
                 planner,
                 limit,
-                &Runtime::sequential(),
-            )
+                &inner,
+            );
+            if res
+                .as_ref()
+                .map_or(true, |b| stop_at_first_empty && b.is_empty())
+            {
+                stop_at.fetch_min(i, Ordering::Relaxed);
+            }
+            Some(res)
         });
-        for (g, cache) in graphs.iter().zip(units) {
+        for (g, cache) in graphs.iter().zip(caches) {
             self.graph_caches.insert(g.id(), cache);
         }
-        results.into_iter().collect()
+        // Every graph up to the lowest stopping index was evaluated, so
+        // the in-order walk meets that index before any skipped graph.
+        let mut out = Vec::with_capacity(results.len());
+        for res in results.into_iter().map_while(|r| r) {
+            let bindings = res?;
+            let stop = stop_at_first_empty && bindings.is_empty();
+            out.push(bindings);
+            if stop {
+                break;
+            }
+        }
+        Ok(out)
     }
 
     /// Fills the solution memo by draining a stream (no-op when already
@@ -813,9 +823,9 @@ impl ExchangeSession {
     }
 }
 
-/// Sums the cumulative [`DemandStats`] of every atom evaluator compiled
-/// into `query`'s demand pool — the session records *deltas* of this
-/// around each probe.
+/// Sums the cumulative [`DemandStats`] credited to every atom of `query`
+/// (whichever cache and worker did the work) — the session records
+/// *deltas* of this around each probe.
 fn demand_snapshot(query: &PreparedQuery) -> DemandStats {
     let mut total = DemandStats::default();
     for atom in &query.cnre().atoms {

@@ -17,7 +17,7 @@ use gdx_common::{FxHashMap, Result, Symbol};
 use gdx_graph::{Graph, Node, NodeId};
 use gdx_mapping::{SameAs, Setting, TargetConstraint, TargetTgd};
 use gdx_nre::eval::EvalCache;
-use gdx_query::{evaluate_with_scratch, Cnre, PlannerMode, PreparedQuery};
+use gdx_query::PreparedQuery;
 use gdx_relational::{evaluate as eval_cq, Instance};
 use gdx_runtime::Runtime;
 
@@ -77,7 +77,8 @@ enum PreparedConstraint {
 /// The compiled `Sol_Ω(I)` membership test for one setting: per s-t tgd a
 /// prepared head query, per target constraint prepared body/head queries.
 /// Graph-independent — one checker serves any number of candidate graphs
-/// (the compiled automata re-pin their memo tables per graph and epoch).
+/// (the compiled automata live in the queries; every check keeps its memos
+/// in caches of its own).
 pub struct SolutionChecker {
     setting: Setting,
     /// Prepared heads, aligned with `setting.st_tgds`.
@@ -136,51 +137,34 @@ impl SolutionChecker {
         self
     }
 
-    /// Checks one batch of seeded head-witness obligations, fanning out
-    /// across workers (each with its own scratch [`EvalCache`] — the
-    /// prepared query's demand pool cannot cross threads) when the batch
-    /// clears [`PAR_MIN_OBLIGATIONS`]. `prepared` serves the sequential
-    /// path so its compiled automata are not rebuilt per call.
+    /// Checks one batch of seeded head-witness obligations through the
+    /// prepared `head`. Batches below [`PAR_MIN_OBLIGATIONS`] form one
+    /// chunk; larger ones are cut into about two chunks per worker. Each
+    /// chunk probes with its own [`EvalCache`] and stops at its first
+    /// unwitnessed obligation — a 1-worker runtime runs the chunks inline
+    /// in order, so it stops at the first violation overall, while a
+    /// parallel one checks later chunks speculatively. The verdict is the
+    /// same either way.
     fn witnesses_all(
         &self,
         graph: &Graph,
-        head: &Cnre,
-        prepared: &PreparedQuery,
-        cache: &mut EvalCache,
+        head: &PreparedQuery,
         seeds: &[FxHashMap<Symbol, NodeId>],
     ) -> Result<bool> {
-        if !self.runtime.is_parallel() || seeds.len() < PAR_MIN_OBLIGATIONS {
-            for seed in seeds {
-                if !prepared.evaluate_seeded_exists(graph, cache, seed)? {
-                    return Ok(false);
-                }
-            }
-            return Ok(true);
-        }
-        // About two chunks per worker: each chunk pays for one scratch
-        // cache (automaton compilation / head materialization), so
-        // fewer, larger chunks amortize it better than fine-grained
-        // stealing would.
-        let chunk = seeds
-            .len()
-            .div_ceil(self.runtime.workers() * 2)
-            .max(PAR_MIN_OBLIGATIONS / 4);
+        let chunk = if seeds.len() < PAR_MIN_OBLIGATIONS {
+            seeds.len()
+        } else {
+            seeds
+                .len()
+                .div_ceil(self.runtime.workers() * 2)
+                .max(PAR_MIN_OBLIGATIONS / 4)
+        };
         let verdicts = self
             .runtime
             .par_chunks(seeds, chunk, |_, chunk| -> Result<bool> {
-                let mut scratch = EvalCache::new();
+                let mut cache = EvalCache::new();
                 for seed in chunk {
-                    let witnessed = !evaluate_with_scratch(
-                        graph,
-                        head,
-                        &mut scratch,
-                        seed,
-                        PlannerMode::Auto,
-                        Some(1),
-                        &Runtime::sequential(),
-                    )?
-                    .is_empty();
-                    if !witnessed {
+                    if !head.evaluate_seeded_exists(graph, &mut cache, seed)? {
                         return Ok(false);
                     }
                 }
@@ -207,7 +191,6 @@ impl SolutionChecker {
 
     /// `(I, G) ⊨ M_st`?
     pub fn st_tgds_satisfied(&self, instance: &Instance, graph: &Graph) -> Result<bool> {
-        let mut cache = EvalCache::new();
         for (tgd, head) in self.setting.st_tgds.iter().zip(&self.st_heads) {
             let triggers = eval_cq(instance, &tgd.body)?;
             // Frontier variables must map to *existing* constant nodes;
@@ -230,7 +213,7 @@ impl SolutionChecker {
             // by product-BFS from the bound endpoints, early-exiting at
             // the first witness — across workers when the trigger batch
             // is large.
-            if !self.witnesses_all(graph, &tgd.head, head, &mut cache, &seeds)? {
+            if !self.witnesses_all(graph, head, &seeds)? {
                 return Ok(false);
             }
         }
@@ -265,7 +248,7 @@ impl SolutionChecker {
                                 .collect()
                         })
                         .collect();
-                    if !self.witnesses_all(graph, &tgd.head, head, &mut cache, &seeds)? {
+                    if !self.witnesses_all(graph, head, &seeds)? {
                         return Ok(false);
                     }
                 }

@@ -38,14 +38,16 @@
 //! comes from the graph's frozen CSR snapshot ([`Graph::freeze`]) — the
 //! first probe of a version reads the mutable index, so chase loops that
 //! grow the graph between probes never pay per-epoch snapshot rebuilds.
-//! The visited/output sets are dense bitsets held by the evaluator and
-//! reset in time proportional to the previous probe's reach — a probe
-//! allocates nothing once its evaluator is warm.
+//! The visited/output sets are dense bitsets from a per-thread scratch
+//! pool, reset in time proportional to the previous probe's reach — a
+//! probe allocates nothing beyond its memoized output once the thread has
+//! run one.
 
 use crate::ast::Nre;
 use crate::eval::{eval, BinRel};
 use gdx_common::{FxHashMap, FxHashSet, GdxError, Result, ScratchBits, Symbol};
 use gdx_graph::{FrozenGraph, Graph, GraphId, NodeId};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -65,7 +67,7 @@ enum Action {
     /// Traverse one `a`-edge backward.
     Bwd(Symbol),
     /// Stay in place; fires only when the guard predicate holds at the
-    /// current node (index into [`GuardedNfa::guards`]).
+    /// current node (index into [`DemandAutomata::guards`]).
     Guard(u32),
 }
 
@@ -79,8 +81,6 @@ struct GuardedNfa {
     accept: Vec<bool>,
     /// Per-state transitions, targets ε-closed, sorted, deduplicated.
     trans: Vec<Vec<(Action, Vec<State>)>>,
-    /// Test subexpressions referenced by [`Action::Guard`].
-    guards: Vec<Nre>,
 }
 
 /// Thompson-style builder with explicit ε-edges, eliminated at the end.
@@ -176,7 +176,9 @@ impl Builder {
 
 impl GuardedNfa {
     /// Compiles `r`, failing when the automaton exceeds [`MAX_STATES`].
-    fn compile(r: &Nre) -> Result<GuardedNfa> {
+    /// Also returns the test subexpressions its [`Action::Guard`] ids
+    /// index.
+    fn compile(r: &Nre) -> Result<(GuardedNfa, Vec<Nre>)> {
         let mut b = Builder::default();
         let (start, accept) = b.build(r);
         let n = b.eps.len();
@@ -203,12 +205,12 @@ impl GuardedNfa {
         }
         let mut accept_flags = vec![false; n];
         accept_flags[accept as usize] = true;
-        Ok(GuardedNfa {
+        let nfa = GuardedNfa {
             start: b.closure(start),
             accept: accept_flags,
             trans,
-            guards: b.guards,
-        })
+        };
+        Ok((nfa, b.guards))
     }
 }
 
@@ -275,11 +277,83 @@ enum BfsStop {
     Node(NodeId),
 }
 
-/// A compiled, memoizing demand evaluator for one NRE.
+/// The compiled, immutable half of demand evaluation for one NRE: the
+/// guarded automaton of `r`, the automaton of `rev(r)` for backward runs,
+/// and — recursively — the compiled form of every nesting test. Holds no
+/// graph state, so it is `Send + Sync` and shared behind an [`Arc`] by
+/// every [`DemandEvaluator`] created from it ([`DemandAutomata::evaluator`]).
 ///
-/// Holds the forward automaton of `r` and the automaton of `rev(r)` for
-/// backward runs, plus per-node memo tables for images, preimages and
-/// guard decisions. Memos are pinned to one graph value via
+/// A prepared query compiles one of these per atom once; the per-graph
+/// caches turn it into evaluators that carry the memo state.
+#[derive(Debug)]
+pub struct DemandAutomata {
+    fwd: GuardedNfa,
+    bwd: GuardedNfa,
+    /// Compiled nesting tests, indexed by [`Action::Guard`] ids of both
+    /// automata (guards are direction-independent, so one list serves
+    /// both).
+    guards: Vec<Arc<DemandAutomata>>,
+}
+
+impl DemandAutomata {
+    /// Compiles `r`. Errors when the expression — or any of its
+    /// nesting-test subexpressions, compiled eagerly here — falls outside
+    /// the supported fragment ([`MAX_STATES`]); callers then fall back to
+    /// the materializing evaluator instead of discovering an uncompilable
+    /// guard mid-run.
+    pub fn compile(r: &Nre) -> Result<Arc<DemandAutomata>> {
+        let (fwd, mut tests) = GuardedNfa::compile(r)?;
+        let (mut bwd, bwd_tests) = GuardedNfa::compile(&r.reversed())?;
+        // One guard list for both directions: forward ids stay, backward
+        // ids are renumbered onto it. (Transition order is left as
+        // compiled, so exploration order does not change.)
+        let renumber: Vec<u32> = bwd_tests
+            .into_iter()
+            .map(|t| {
+                let id = tests.iter().position(|x| *x == t).unwrap_or_else(|| {
+                    tests.push(t);
+                    tests.len() - 1
+                });
+                id as u32
+            })
+            .collect();
+        for row in &mut bwd.trans {
+            for (action, _) in row {
+                if let Action::Guard(gi) = action {
+                    *gi = renumber[*gi as usize];
+                }
+            }
+        }
+        let guards = tests
+            .iter()
+            .map(DemandAutomata::compile)
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Arc::new(DemandAutomata { fwd, bwd, guards }))
+    }
+
+    /// A fresh evaluator over these automata: empty memos, zeroed
+    /// counters. Nothing is compiled.
+    pub fn evaluator(self: &Arc<Self>) -> DemandEvaluator {
+        DemandEvaluator {
+            automata: Arc::clone(self),
+            graph: None,
+            frozen: None,
+            probes_in_version: 0,
+            fwd_images: FxHashMap::default(),
+            bwd_images: FxHashMap::default(),
+            nonempty: FxHashMap::default(),
+            pair_memo: FxHashMap::default(),
+            guard_evals: self.guards.iter().map(DemandAutomata::evaluator).collect(),
+            stats: DemandStats::default(),
+        }
+    }
+}
+
+/// A memoizing demand evaluator for one NRE: the mutable half of demand
+/// evaluation, over shared [`DemandAutomata`].
+///
+/// Holds per-node memo tables for images, preimages and guard decisions.
+/// Memos are pinned to one graph value via
 /// [`Graph::id`]; handing the evaluator a different graph (clone,
 /// quotient) resets them transparently. Guard predicates recurse into
 /// nested [`DemandEvaluator`]s, one per distinct test subexpression.
@@ -296,8 +370,7 @@ enum BfsStop {
 /// ```
 #[derive(Debug)]
 pub struct DemandEvaluator {
-    fwd: Arc<GuardedNfa>,
-    bwd: Arc<GuardedNfa>,
+    automata: Arc<DemandAutomata>,
     /// The graph *version* the memos are valid for: value identity plus
     /// epoch. Chase engines grow one graph value in place; growth adds
     /// reachable pairs, so memos from an older epoch would under-report.
@@ -316,14 +389,6 @@ pub struct DemandEvaluator {
     frozen: Option<Arc<FrozenGraph>>,
     /// BFS runs since the last version change — the lazy-freeze trigger.
     probes_in_version: u32,
-    /// BFS scratch, reused across runs: visited bits over the dense
-    /// `(node, state)` product (`node · |states| + state`), accept-output
-    /// bits over nodes, and the FIFO frontier. Reset costs are
-    /// proportional to the previous run's reach ([`ScratchBits::reset`]),
-    /// so a tiny probe never pays for the universe.
-    visited: ScratchBits,
-    out_seen: ScratchBits,
-    queue: VecDeque<(NodeId, State)>,
     fwd_images: FxHashMap<NodeId, Vec<NodeId>>,
     bwd_images: FxHashMap<NodeId, Vec<NodeId>>,
     /// Guard-style memo: does *any* node lie in the forward image?
@@ -332,10 +397,51 @@ pub struct DemandEvaluator {
     /// target-early-exited runs are not full images, so they memoize here
     /// instead of in `fwd_images`.
     pair_memo: FxHashMap<u64, bool>,
-    /// Recursive evaluators for test subexpressions, shared between the
-    /// forward and backward automata (guards are direction-independent).
-    guard_evals: FxHashMap<Nre, Box<DemandEvaluator>>,
+    /// Recursive evaluators for test subexpressions, aligned with
+    /// [`DemandAutomata::guards`].
+    guard_evals: Vec<DemandEvaluator>,
     stats: DemandStats,
+}
+
+/// Product-BFS working memory: visited bits over the dense
+/// `(node, state)` product (`node · |states| + state`), accept-output bits
+/// over nodes, the FIFO frontier, and the accepted nodes in discovery
+/// order. Reset costs are proportional to the previous run's reach
+/// ([`ScratchBits::reset`]), so a tiny probe never pays for the universe.
+///
+/// Scratch is working memory, not evaluator state: each thread keeps a
+/// small pool of it (one set per level of guard sub-runs in flight), so
+/// the many short-lived evaluators of per-graph caches share warm
+/// buffers instead of each growing its own.
+#[derive(Default)]
+struct BfsScratch {
+    visited: ScratchBits,
+    out_seen: ScratchBits,
+    queue: VecDeque<(NodeId, State)>,
+    accepted: Vec<NodeId>,
+}
+
+thread_local! {
+    static BFS_SCRATCH: RefCell<Vec<BfsScratch>> = const { RefCell::new(Vec::new()) };
+}
+
+impl BfsScratch {
+    /// A cleared scratch set from this thread's pool (or a new one).
+    fn take() -> BfsScratch {
+        let mut s = BFS_SCRATCH
+            .with(|pool| pool.borrow_mut().pop())
+            .unwrap_or_default();
+        s.visited.reset();
+        s.out_seen.reset();
+        s.queue.clear();
+        s.accepted.clear();
+        s
+    }
+
+    /// Returns the set to this thread's pool.
+    fn give_back(self) {
+        BFS_SCRATCH.with(|pool| pool.borrow_mut().push(self));
+    }
 }
 
 #[inline]
@@ -344,36 +450,11 @@ fn pack(node: NodeId, state: State) -> u64 {
 }
 
 impl DemandEvaluator {
-    /// Compiles an evaluator for `r`. Errors when the expression — or any
-    /// of its nesting-test subexpressions, whose sub-evaluators are built
-    /// eagerly here — falls outside the supported fragment
-    /// ([`MAX_STATES`]); callers then fall back to the materializing
-    /// evaluator instead of discovering an uncompilable guard mid-run.
+    /// Compiles `r` and returns a fresh evaluator over it — shorthand for
+    /// [`DemandAutomata::compile`] + [`DemandAutomata::evaluator`] when
+    /// the automata need not be shared.
     pub fn try_new(r: &Nre) -> Result<DemandEvaluator> {
-        let fwd = Arc::new(GuardedNfa::compile(r)?);
-        let bwd = Arc::new(GuardedNfa::compile(&r.reversed())?);
-        let mut guard_evals: FxHashMap<Nre, Box<DemandEvaluator>> = FxHashMap::default();
-        for guard in fwd.guards.iter().chain(&bwd.guards) {
-            if !guard_evals.contains_key(guard) {
-                guard_evals.insert(guard.clone(), Box::new(DemandEvaluator::try_new(guard)?));
-            }
-        }
-        Ok(DemandEvaluator {
-            fwd,
-            bwd,
-            graph: None,
-            frozen: None,
-            probes_in_version: 0,
-            visited: ScratchBits::new(),
-            out_seen: ScratchBits::new(),
-            queue: VecDeque::new(),
-            fwd_images: FxHashMap::default(),
-            bwd_images: FxHashMap::default(),
-            nonempty: FxHashMap::default(),
-            pair_memo: FxHashMap::default(),
-            guard_evals,
-            stats: DemandStats::default(),
-        })
+        Ok(DemandAutomata::compile(r)?.evaluator())
     }
 
     /// Cumulative work counters (survive graph resets).
@@ -403,7 +484,7 @@ impl DemandEvaluator {
         self.sync(graph);
         if !self.fwd_images.contains_key(&u) {
             let list = self.bfs(graph, Dir::Fwd, u, BfsStop::Exhaust);
-            self.fwd_images.insert(u, list);
+            self.fwd_images.insert(u, list.unwrap_or_default());
         }
         &self.fwd_images[&u]
     }
@@ -413,7 +494,7 @@ impl DemandEvaluator {
         self.sync(graph);
         if !self.bwd_images.contains_key(&v) {
             let list = self.bfs(graph, Dir::Bwd, v, BfsStop::Exhaust);
-            self.bwd_images.insert(v, list);
+            self.bwd_images.insert(v, list.unwrap_or_default());
         }
         &self.bwd_images[&v]
     }
@@ -434,17 +515,20 @@ impl DemandEvaluator {
         if let Some(&b) = self.pair_memo.get(&key) {
             return b;
         }
-        let out = self.bfs(graph, Dir::Fwd, u, BfsStop::Node(v));
-        let found = out.contains(&v);
-        if found {
-            self.pair_memo.insert(key, true);
-        } else {
-            // The target was never reached, so the BFS ran to exhaustion
-            // and `out` is the complete image of `u` — memoize it so
-            // further probes from `u` are lookups, not re-runs.
-            self.fwd_images.insert(u, out);
+        match self.bfs(graph, Dir::Fwd, u, BfsStop::Node(v)) {
+            None => {
+                self.pair_memo.insert(key, true);
+                true
+            }
+            Some(image) => {
+                // The target was never reached, so the BFS ran to
+                // exhaustion and produced the complete image of `u` —
+                // memoize it so further probes from `u` are lookups, not
+                // re-runs.
+                self.fwd_images.insert(u, image);
+                false
+            }
         }
-        found
     }
 
     /// Does *some* `v` with `(u, v) ∈ ⟦r⟧_G` exist? Early-exits the BFS
@@ -458,30 +542,29 @@ impl DemandEvaluator {
         if let Some(&b) = self.nonempty.get(&u) {
             return b;
         }
-        let found = !self
-            .bfs(graph, Dir::Fwd, u, BfsStop::FirstAccept)
-            .is_empty();
+        // An exhausted first-accept run accepted nothing.
+        let found = self.bfs(graph, Dir::Fwd, u, BfsStop::FirstAccept).is_none();
         self.nonempty.insert(u, found);
         found
     }
 
-    /// Product BFS from `(src, start-states)`; collects the graph nodes
-    /// reached in an accepting automaton state, stopping early per `stop`.
-    /// Only [`BfsStop::Exhaust`] results are complete images fit for
-    /// memoization as such.
+    /// Product BFS from `(src, start-states)` over the graph nodes reached
+    /// in an accepting automaton state, stopping early per `stop`. Returns
+    /// the complete image when the run exhausted, `None` when `stop` cut
+    /// it short (a first accept, or the target node reached).
     ///
     /// Adjacency comes from the frozen CSR snapshot once the graph
     /// version has seen a second BFS (sorted neighbor slices — two array
     /// reads per step; the first run reads the mutable index so
-    /// fire-probe-fire chase loops never rebuild snapshots). The visited
-    /// and accept sets are dense bitsets over `(node, state)` and
-    /// `node`, taken out of `self` for the duration of the run (guard
-    /// checks re-borrow `self` mutably) and restored afterwards for
-    /// reuse.
-    fn bfs(&mut self, graph: &Graph, dir: Dir, src: NodeId, stop: BfsStop) -> Vec<NodeId> {
+    /// fire-probe-fire chase loops never rebuild snapshots). The working
+    /// memory comes from the thread's [`BfsScratch`] pool and goes back
+    /// to it afterwards, so a run allocates nothing beyond the image it
+    /// returns once the pool is warm — even on a fresh evaluator.
+    fn bfs(&mut self, graph: &Graph, dir: Dir, src: NodeId, stop: BfsStop) -> Option<Vec<NodeId>> {
+        let automata = Arc::clone(&self.automata);
         let auto = match dir {
-            Dir::Fwd => Arc::clone(&self.fwd),
-            Dir::Bwd => Arc::clone(&self.bwd),
+            Dir::Fwd => &automata.fwd,
+            Dir::Bwd => &automata.bwd,
         };
         self.probes_in_version += 1;
         if self.frozen.is_none() && self.probes_in_version >= 2 {
@@ -490,13 +573,14 @@ impl DemandEvaluator {
         let frozen = self.frozen.clone();
         self.stats.bfs_runs += 1;
         let states = auto.trans.len();
-        let mut visited = std::mem::take(&mut self.visited);
-        let mut out_seen = std::mem::take(&mut self.out_seen);
-        let mut queue = std::mem::take(&mut self.queue);
-        visited.reset();
-        out_seen.reset();
-        queue.clear();
-        let mut out: Vec<NodeId> = Vec::new();
+        let mut scratch = BfsScratch::take();
+        let BfsScratch {
+            visited,
+            out_seen,
+            queue,
+            accepted: out,
+        } = &mut scratch;
+        let mut exhausted = true;
         let idx = |node: NodeId, q: State| node as usize * states + q as usize;
         for &q in &auto.start {
             if visited.insert(idx(src, q)) {
@@ -510,10 +594,13 @@ impl DemandEvaluator {
             self.stats.visited += 1;
             if auto.accept[q as usize] && out_seen.insert(u as usize) {
                 out.push(u);
-                match stop {
-                    BfsStop::FirstAccept => break 'run,
-                    BfsStop::Node(t) if u == t => break 'run,
-                    _ => {}
+                if match stop {
+                    BfsStop::Exhaust => false,
+                    BfsStop::FirstAccept => true,
+                    BfsStop::Node(t) => u == t,
+                } {
+                    exhausted = false;
+                    break 'run;
                 }
             }
             for (action, targets) in &auto.trans[q as usize] {
@@ -545,7 +632,7 @@ impl DemandEvaluator {
                         }
                     }
                     Action::Guard(gi) => {
-                        if self.guard_holds(graph, &auto.guards[gi as usize], u) {
+                        if self.guard_holds(graph, gi, u) {
                             for &q2 in targets {
                                 if visited.insert(idx(u, q2)) {
                                     queue.push_back((u, q2));
@@ -556,24 +643,17 @@ impl DemandEvaluator {
                 }
             }
         }
-        self.visited = visited;
-        self.out_seen = out_seen;
-        self.queue = queue;
-        out
+        let image = exhausted.then(|| out.clone());
+        scratch.give_back();
+        image
     }
 
-    /// Decides the guard `[t]` at node `u` by seeded sub-evaluation of
-    /// `t` from exactly `u`, through the nested evaluator compiled
-    /// eagerly by [`DemandEvaluator::try_new`].
-    // `try_new` compiles an evaluator for every guard of the expression
-    // before any query runs; a miss here is a construction bug.
-    #[allow(clippy::expect_used)]
-    fn guard_holds(&mut self, graph: &Graph, guard: &Nre, u: NodeId) -> bool {
+    /// Decides guard `gi` (a test `[t]`) at node `u` by seeded
+    /// sub-evaluation of `t` from exactly `u`, through the nested
+    /// evaluator [`DemandAutomata::evaluator`] created with this one.
+    fn guard_holds(&mut self, graph: &Graph, gi: u32, u: NodeId) -> bool {
         self.stats.guard_checks += 1;
-        let sub = self
-            .guard_evals
-            .get_mut(guard)
-            .expect("every guard is compiled at construction");
+        let sub = &mut self.guard_evals[gi as usize];
         let before = sub.stats.visited;
         let held = sub.has_any_successor(graph, u);
         // Fold the nested run's work into this evaluator's counters so
@@ -584,18 +664,22 @@ impl DemandEvaluator {
     }
 }
 
-/// A pool of compiled [`DemandEvaluator`]s keyed by NRE — the demand-side
-/// companion of the materializing caches ([`crate::eval::EvalCache`],
-/// [`crate::incremental::IncrementalCache`]). Compile failures (outside
-/// the supported fragment) are memoized as `None`, so the planner's
-/// fallback to materialization costs one lookup.
+/// The demand evaluators of one graph's cache, keyed by NRE — the
+/// demand-side companion of the materializing caches
+/// ([`crate::eval::EvalCache`], [`crate::incremental::IncrementalCache`]).
+///
+/// The pool never compiles: an evaluator is created on first use from
+/// the [`DemandAutomata`] the caller (a prepared query) compiled once, so
+/// the pool holds only memo state for the cache's graph. Atoms sharing an
+/// NRE share one evaluator.
 ///
 /// Evaluators sit behind `RefCell` so that several atoms of one query can
 /// hold the pool by shared reference while borrowing their (possibly
-/// shared) evaluator mutably one probe at a time.
+/// shared) evaluator mutably one probe at a time. The pool is therefore
+/// `Send` but not `Sync`: a cache belongs to one thread at a time.
 #[derive(Debug, Default)]
 pub struct DemandPool {
-    evals: FxHashMap<Nre, Option<Box<std::cell::RefCell<DemandEvaluator>>>>,
+    evals: FxHashMap<Nre, RefCell<DemandEvaluator>>,
 }
 
 impl DemandPool {
@@ -604,41 +688,18 @@ impl DemandPool {
         DemandPool::default()
     }
 
-    /// Compiles (or finds) the evaluator for `r`; `false` when `r` is
-    /// outside the supported fragment.
-    pub fn ensure(&mut self, r: &Nre) -> bool {
-        self.evals
-            .entry(r.clone())
-            .or_insert_with(|| {
-                DemandEvaluator::try_new(r)
-                    .ok()
-                    .map(|e| Box::new(std::cell::RefCell::new(e)))
-            })
-            .is_some()
-    }
-
-    /// A pool pre-compiled for every expression in `exprs` — the
-    /// construction path of prepared queries, which pay the automaton
-    /// compilation once and reuse the pool across graphs and epochs
-    /// (each evaluator re-pins its memo to the `(GraphId, Epoch)` it is
-    /// probed against).
-    pub fn prepared<'a>(exprs: impl IntoIterator<Item = &'a Nre>) -> DemandPool {
-        let mut pool = DemandPool::new();
-        for r in exprs {
-            pool.ensure(r);
+    /// Creates the evaluator for `r` from `automata` unless the pool
+    /// already holds one (`automata` must be `r`'s compiled form).
+    pub fn ensure(&mut self, r: &Nre, automata: &Arc<DemandAutomata>) {
+        if !self.evals.contains_key(r) {
+            self.evals
+                .insert(r.clone(), RefCell::new(automata.evaluator()));
         }
-        pool
     }
 
-    /// The compiled evaluator, if [`DemandPool::ensure`] succeeded for `r`.
-    pub fn get(&self, r: &Nre) -> Option<&std::cell::RefCell<DemandEvaluator>> {
-        self.evals.get(r).and_then(|e| e.as_deref())
-    }
-
-    /// Whether `r` was seen by [`DemandPool::ensure`] and compiled
-    /// successfully — a lookup, never a compilation.
-    pub fn compiled(&self, r: &Nre) -> bool {
-        self.evals.get(r).is_some_and(Option::is_some)
+    /// The evaluator for `r`, if [`DemandPool::ensure`] created one.
+    pub fn get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>> {
+        self.evals.get(r)
     }
 }
 

@@ -534,11 +534,11 @@ pub fn holds(graph: &Graph, r: &Nre, u: NodeId, v: NodeId) -> bool {
     eval_from(graph, r, u).contains(&v)
 }
 
-/// Evaluates `⟦r⟧_G` restricted to pairs of *labeled* interest — all pairs,
-/// but reported per label symbol used. Helper for query planners that cache
-/// per-NRE relations. Carries a [`DemandPool`] so the access-path planner
-/// can mix materialized relations with seeded product-BFS evaluators over
-/// one cache.
+/// Per-graph evaluation state: materialized relations memoized per NRE,
+/// plus a [`DemandPool`] of seeded product-BFS evaluators, so the
+/// access-path planner can mix both access paths over one cache. Use one
+/// cache per graph (version): it holds *all* mutable evaluation state,
+/// while compiled automata stay with the query that created them.
 ///
 /// [`DemandPool`]: crate::demand::DemandPool
 #[derive(Debug, Default)]
@@ -585,18 +585,14 @@ impl EvalCache {
         self.cache.get(r)
     }
 
-    /// Compiles (or finds) a demand evaluator for `r`; `false` when `r`
-    /// falls outside the demand-evaluable fragment.
-    pub fn demand_ensure(&mut self, r: &Nre) -> bool {
-        self.demand.ensure(r)
+    /// The demand evaluators probing this cache's graph.
+    pub fn demand(&self) -> &crate::demand::DemandPool {
+        &self.demand
     }
 
-    /// The demand evaluator, if [`EvalCache::demand_ensure`] succeeded.
-    pub fn demand_get(
-        &self,
-        r: &Nre,
-    ) -> Option<&std::cell::RefCell<crate::demand::DemandEvaluator>> {
-        self.demand.get(r)
+    /// Mutable access to [`EvalCache::demand`], for creating evaluators.
+    pub fn demand_mut(&mut self) -> &mut crate::demand::DemandPool {
+        &mut self.demand
     }
 }
 
@@ -761,19 +757,19 @@ mod tests {
     }
 
     #[test]
-    fn caches_are_send_for_per_worker_scratch() {
-        // The PR-4 interior-mutability audit in type form: scratch caches
-        // (and the demand evaluators inside them, whose guard automata
-        // are Arc-shared) move *into* runtime workers, so they must be
-        // `Send`; they deliberately stay `!Sync` (RefCell demand pools),
-        // which is what forces the per-worker-scratch pattern at compile
-        // time. Graphs and relations are shared read-only across workers
-        // and must be `Sync`.
+    fn caches_are_send_and_automata_are_sync() {
+        // The interior-mutability audit in type form: per-graph caches
+        // (and the demand evaluators inside them) move *into* runtime
+        // workers, so they must be `Send`; they stay `!Sync` (RefCell
+        // demand pools), so each cache has one owner at a time. Compiled
+        // automata, graphs and relations are shared read-only across
+        // workers and must be `Sync`.
         fn is_send<T: Send>() {}
-        fn is_sync<T: Sync>() {}
+        fn is_sync<T: Sync + Send>() {}
         is_send::<EvalCache>();
         is_send::<crate::demand::DemandEvaluator>();
         is_send::<crate::IncrementalCache>();
+        is_sync::<crate::demand::DemandAutomata>();
         is_sync::<Graph>();
         is_sync::<BinRel>();
     }

@@ -133,20 +133,16 @@ impl IncrementalCache {
         self.entries.get(r).map(|e| &e.rel)
     }
 
-    /// Compiles (or finds) a demand evaluator for `r`; `false` when `r`
-    /// falls outside the demand-evaluable fragment. (Demand evaluators pin
-    /// their memos to the graph value themselves.)
-    pub fn demand_ensure(&mut self, r: &Nre) -> bool {
-        self.demand.ensure(r)
+    /// The demand evaluators probing this cache's graph. (Demand
+    /// evaluators pin their memos to the graph version themselves.)
+    pub fn demand(&self) -> &crate::demand::DemandPool {
+        &self.demand
     }
 
-    /// The demand evaluator, if [`IncrementalCache::demand_ensure`]
-    /// succeeded.
-    pub fn demand_get(
-        &self,
-        r: &Nre,
-    ) -> Option<&std::cell::RefCell<crate::demand::DemandEvaluator>> {
-        self.demand.get(r)
+    /// Mutable access to [`IncrementalCache::demand`], for creating
+    /// evaluators.
+    pub fn demand_mut(&mut self) -> &mut crate::demand::DemandPool {
+        &mut self.demand
     }
 
     /// Recursively advances the entry for `r` to the graph's epoch.

@@ -46,7 +46,7 @@ pub mod witness;
 
 pub use ast::Nre;
 pub use classify::Fragment;
-pub use demand::{DemandEvaluator, DemandPool, DemandStats};
+pub use demand::{DemandAutomata, DemandEvaluator, DemandPool, DemandStats};
 pub use eval::{eval, eval_from, BinRel};
 pub use incremental::{eval_delta, EvalMark, IncrementalCache};
 pub use witness::{PathStep, Witness};

@@ -10,9 +10,10 @@
 
 use crate::cnre::Cnre;
 use crate::plan::{plan_query, AccessChoice, PlannerMode};
+use crate::prepared::{CompiledAtom, DemandCredit};
 use gdx_common::{FxHashMap, FxHashSet, Result, Symbol, Term};
 use gdx_graph::{Graph, Node, NodeId};
-use gdx_nre::demand::DemandEvaluator;
+use gdx_nre::demand::{DemandEvaluator, DemandPool, DemandStats};
 use gdx_nre::eval::EvalCache;
 use gdx_nre::{BinRel, Nre};
 use gdx_runtime::Runtime;
@@ -215,9 +216,9 @@ impl NodeBindings {
     }
 }
 
-/// The cache interface planned evaluation draws on: materialized
-/// relations plus compiled demand evaluators. Implemented by the cold
-/// [`EvalCache`] and the epoch-advancing
+/// The per-graph cache interface planned evaluation draws on:
+/// materialized relations plus the demand evaluators probing the graph.
+/// Implemented by the cold [`EvalCache`] and the epoch-advancing
 /// [`IncrementalCache`](gdx_nre::IncrementalCache).
 pub(crate) trait RelCache {
     /// Materializes `r`. The runtime partitions expensive constructions
@@ -226,8 +227,8 @@ pub(crate) trait RelCache {
     /// way.
     fn ensure(&mut self, graph: &Graph, r: &Nre, rt: &Runtime);
     fn get(&self, r: &Nre) -> Option<&BinRel>;
-    fn demand_ensure(&mut self, r: &Nre) -> bool;
-    fn demand_get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>>;
+    fn demand(&self) -> &DemandPool;
+    fn demand_mut(&mut self) -> &mut DemandPool;
 }
 
 impl RelCache for EvalCache {
@@ -237,11 +238,11 @@ impl RelCache for EvalCache {
     fn get(&self, r: &Nre) -> Option<&BinRel> {
         EvalCache::get(self, r)
     }
-    fn demand_ensure(&mut self, r: &Nre) -> bool {
-        EvalCache::demand_ensure(self, r)
+    fn demand(&self) -> &DemandPool {
+        EvalCache::demand(self)
     }
-    fn demand_get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>> {
-        EvalCache::demand_get(self, r)
+    fn demand_mut(&mut self) -> &mut DemandPool {
+        EvalCache::demand_mut(self)
     }
 }
 
@@ -255,168 +256,20 @@ impl RelCache for gdx_nre::IncrementalCache {
     fn get(&self, r: &Nre) -> Option<&BinRel> {
         gdx_nre::IncrementalCache::get(self, r)
     }
-    fn demand_ensure(&mut self, r: &Nre) -> bool {
-        gdx_nre::IncrementalCache::demand_ensure(self, r)
+    fn demand(&self) -> &DemandPool {
+        gdx_nre::IncrementalCache::demand(self)
     }
-    fn demand_get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>> {
-        gdx_nre::IncrementalCache::demand_get(self, r)
+    fn demand_mut(&mut self) -> &mut DemandPool {
+        gdx_nre::IncrementalCache::demand_mut(self)
     }
-}
-
-/// Evaluates `query` over `graph` with a fresh relation cache.
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate`")]
-pub fn evaluate(graph: &Graph, query: &Cnre) -> Result<NodeBindings> {
-    let mut cache = EvalCache::new();
-    planned_eval(
-        graph,
-        query,
-        &mut cache,
-        &FxHashMap::default(),
-        PlannerMode::Auto,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// Is `query` satisfiable over `graph`? Early-exits at the first answer
-/// row; with a constants-only query this is the certain-answer probe shape
-/// (both endpoints bound), which the planner serves by seeded product-BFS
-/// instead of materializing any relation.
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate_exists`")]
-pub fn evaluate_exists(graph: &Graph, query: &Cnre) -> Result<bool> {
-    let mut cache = EvalCache::new();
-    let b = planned_eval(
-        graph,
-        query,
-        &mut cache,
-        &FxHashMap::default(),
-        PlannerMode::Auto,
-        Some(1),
-        &Runtime::sequential(),
-    )?;
-    Ok(!b.is_empty())
-}
-
-/// Evaluates `query` over `graph`, reusing `cache` across calls (the chase
-/// evaluates the same constraint bodies repeatedly).
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::matches`")]
-pub fn evaluate_with_cache(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-) -> Result<NodeBindings> {
-    planned_eval(
-        graph,
-        query,
-        cache,
-        &FxHashMap::default(),
-        PlannerMode::Auto,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// Evaluates `query` with some variables pre-bound to graph nodes.
-///
-/// Used by the target-tgd chase to check whether a tgd head is already
-/// satisfied under a body match: frontier variables are seeded, existential
-/// variables are left free. Seeded variables appear in the output columns
-/// with their fixed values.
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate_seeded`")]
-pub fn evaluate_seeded(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-) -> Result<NodeBindings> {
-    planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        PlannerMode::Auto,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// [`evaluate_seeded`] with an explicit planner mode —
-/// [`PlannerMode::Materialize`] forces the pre-planner single-strategy
-/// behaviour (the baseline the benches and equivalence tests compare
-/// against).
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate_seeded_mode`")]
-pub fn evaluate_seeded_mode(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-    mode: PlannerMode,
-) -> Result<NodeBindings> {
-    planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        mode,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// Existence probe under a seed: early-exits at the first satisfying row.
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate_seeded_exists`")]
-pub fn evaluate_seeded_exists(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-) -> Result<bool> {
-    Ok(!planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        PlannerMode::Auto,
-        Some(1),
-        &Runtime::sequential(),
-    )?
-    .is_empty())
-}
-
-/// Planned evaluation against a caller-owned [`EvalCache`] — the
-/// **per-worker-scratch** entry point of the parallel layers.
-///
-/// [`crate::PreparedQuery`] carries its compiled demand pool behind a
-/// `RefCell`, so a prepared query cannot be shared across the
-/// `gdx-runtime` worker threads. Parallel consumers (the chase's
-/// speculative head pre-filter, the session's certain-answer fan-out over
-/// the solution family) instead hand every worker the plain [`Cnre`] plus
-/// that worker's own scratch cache: demand evaluators compile *into the
-/// cache* on first use and stay warm for the worker's (or the graph's)
-/// lifetime. Results are identical to the `PreparedQuery` methods — only
-/// where the compiled automata live differs.
-pub fn evaluate_with_scratch(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-    mode: PlannerMode,
-    limit: Option<usize>,
-    rt: &Runtime,
-) -> Result<NodeBindings> {
-    planned_eval(graph, query, cache, seed, mode, limit, rt)
 }
 
 /// The planned evaluation core: pick access paths, ensure the chosen
-/// backing (materialized relation or compiled demand evaluator) per atom,
-/// then run the mixed join. `limit` stops the join after that many rows
-/// (existence probes pass 1).
+/// backing per atom (a materialized relation, or a demand evaluator the
+/// cache creates from the atom's entry in `compiled`, `None` meaning
+/// outside the demand fragment), then run the mixed join and credit the
+/// demand evaluators' work to the compiled atoms' counters. `limit` stops
+/// the join after that many rows (existence probes pass 1).
 ///
 /// The runtime parallelizes two layers: relation materialization (through
 /// [`RelCache::ensure`]) and — for unlimited, fully-materialized joins —
@@ -428,9 +281,11 @@ pub fn evaluate_with_scratch(
 // the same atoms; a miss is a planner/cache bug that a silent fallback
 // would only hide.
 #[allow(clippy::expect_used)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn planned_eval<C: RelCache>(
     graph: &Graph,
     query: &Cnre,
+    compiled: &[Option<CompiledAtom>],
     cache: &mut C,
     seed: &FxHashMap<Symbol, NodeId>,
     mode: PlannerMode,
@@ -445,15 +300,16 @@ pub(crate) fn planned_eval<C: RelCache>(
     let bound: FxHashSet<Symbol> = seed.keys().copied().filter(|v| vars.contains(v)).collect();
     let mut plan = plan_query(graph, query, &bound, mode);
     for (i, atom) in query.atoms.iter().enumerate() {
-        match plan.access[i] {
-            AccessChoice::Demand => {
-                // Outside the demand-evaluable fragment: flip back.
-                if !cache.demand_ensure(&atom.nre) {
-                    plan.access[i] = AccessChoice::Materialize;
-                    cache.ensure(graph, &atom.nre, rt);
-                }
+        match (plan.access[i], &compiled[i]) {
+            (AccessChoice::Demand, Some(c)) => {
+                cache.demand_mut().ensure(&atom.nre, &c.automata);
             }
-            AccessChoice::Materialize => cache.ensure(graph, &atom.nre, rt),
+            // Outside the demand-evaluable fragment: flip back.
+            (AccessChoice::Demand, None) => {
+                plan.access[i] = AccessChoice::Materialize;
+                cache.ensure(graph, &atom.nre, rt);
+            }
+            (AccessChoice::Materialize, _) => cache.ensure(graph, &atom.nre, rt),
         }
     }
     let cache = &*cache;
@@ -463,7 +319,9 @@ pub(crate) fn planned_eval<C: RelCache>(
         .enumerate()
         .map(|(i, a)| match plan.access[i] {
             AccessChoice::Materialize => AtomAccess::Mat(cache.get(&a.nre).expect("ensured")),
-            AccessChoice::Demand => AtomAccess::Demand(cache.demand_get(&a.nre).expect("ensured")),
+            AccessChoice::Demand => {
+                AtomAccess::Demand(cache.demand().get(&a.nre).expect("ensured"))
+            }
         })
         .collect();
     if mode == PlannerMode::Materialize {
@@ -476,6 +334,16 @@ pub(crate) fn planned_eval<C: RelCache>(
             .map(|a| cache.get(&a.nre).expect("ensured"))
             .collect();
         plan.order = greedy_order(query, &rels, bound, None);
+    }
+    // One work snapshot per distinct evaluator (atoms sharing an NRE
+    // share both the evaluator and the counters).
+    let mut credited: Vec<(&DemandCredit, &RefCell<DemandEvaluator>, DemandStats)> = Vec::new();
+    for (a, c) in access.iter().zip(compiled) {
+        if let (AtomAccess::Demand(ev), Some(c)) = (a, c) {
+            if !credited.iter().any(|(_, seen, _)| std::ptr::eq(*seen, *ev)) {
+                credited.push((&c.credit, ev, ev.borrow().stats()));
+            }
+        }
     }
 
     let mut binding: FxHashMap<Symbol, NodeId> = seed.iter().map(|(&v, &id)| (v, id)).collect();
@@ -507,6 +375,9 @@ pub(crate) fn planned_eval<C: RelCache>(
             rows
         }
     };
+    for (credit, ev, before) in credited {
+        credit.add(ev.borrow().stats().delta_since(&before));
+    }
     rows.dedup_preserving_order();
     Ok(NodeBindings::from_parts(vars, rows))
 }
@@ -530,7 +401,7 @@ enum OuterCand {
 ///
 /// Returns `None` (caller falls back to the sequential join) when: a
 /// `limit` demands early exit, any atom took the demand access path (its
-/// memoizing evaluator is deliberately single-threaded scratch), both
+/// memoizing evaluator belongs to the caller's one cache), both
 /// endpoints of the outer atom are already bound, or the candidate count
 /// is below [`PAR_MIN_OUTER`].
 #[allow(clippy::too_many_arguments)]
@@ -877,12 +748,14 @@ pub(crate) fn join_access(
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the behaviour of the deprecated one-shot wrappers
-    // (downstream code still compiles against them); new code should go
-    // through `PreparedQuery`, tested in `crate::prepared`.
-    #![allow(deprecated)]
-
+    // The join core, driven through `PreparedQuery` — the only entry
+    // point into planned evaluation.
     use super::*;
+    use crate::PreparedQuery;
+
+    fn evaluate(graph: &Graph, query: &Cnre) -> Result<NodeBindings> {
+        PreparedQuery::new(query.clone()).evaluate(graph)
+    }
 
     fn g1() -> Graph {
         // Figure 1(a).
@@ -955,21 +828,21 @@ mod tests {
     fn eval_with_shared_cache() {
         let g = g1();
         let mut cache = EvalCache::new();
-        let q = Cnre::parse("(x, f.f*, y)").unwrap();
-        let a1 = evaluate_with_cache(&g, &q, &mut cache).unwrap();
-        let a2 = evaluate_with_cache(&g, &q, &mut cache).unwrap();
+        let q = PreparedQuery::parse("(x, f.f*, y)").unwrap();
+        let a1 = q.matches(&g, &mut cache).unwrap();
+        let a2 = q.matches(&g, &mut cache).unwrap();
         assert_eq!(a1, a2);
     }
 
     #[test]
     fn seeded_evaluation_fixes_variables() {
         let g = g1();
-        let q = Cnre::parse("(x, f, y), (y, h, z)").unwrap();
+        let q = PreparedQuery::parse("(x, f, y), (y, h, z)").unwrap();
         let mut cache = EvalCache::new();
         let c1 = g.node_id(Node::cst("c1")).unwrap();
         let mut seed = FxHashMap::default();
         seed.insert(Symbol::new("x"), c1);
-        let b = crate::eval::evaluate_seeded(&g, &q, &mut cache, &seed).unwrap();
+        let b = q.evaluate_seeded(&g, &mut cache, &seed).unwrap();
         // x fixed to c1: y = N, z ∈ {hx, hy}.
         assert_eq!(b.len(), 2);
         for row in b.rows() {
@@ -977,7 +850,7 @@ mod tests {
         }
         // Seeding an unused variable is harmless.
         seed.insert(Symbol::new("unused"), c1);
-        let b2 = crate::eval::evaluate_seeded(&g, &q, &mut cache, &seed).unwrap();
+        let b2 = q.evaluate_seeded(&g, &mut cache, &seed).unwrap();
         assert_eq!(b2.len(), 2);
     }
 
@@ -995,20 +868,23 @@ mod tests {
             ("(x1, f.f*.[h].f-.(f-)*, x2)", Some("x1")),
             ("(x, f, y), (y, h, \"hx\")", None),
         ] {
-            let q = Cnre::parse(query).unwrap();
+            let q = PreparedQuery::parse(query).unwrap();
             let mut seed = FxHashMap::default();
             if let Some(v) = seed_var {
                 seed.insert(Symbol::new(v), g.node_id(Node::cst("c1")).unwrap());
             }
             let mut c1 = EvalCache::new();
-            let auto = evaluate_seeded_mode(&g, &q, &mut c1, &seed, PlannerMode::Auto).unwrap();
+            let auto = q
+                .evaluate_seeded_mode(&g, &mut c1, &seed, PlannerMode::Auto)
+                .unwrap();
             let mut c2 = EvalCache::new();
-            let mat =
-                evaluate_seeded_mode(&g, &q, &mut c2, &seed, PlannerMode::Materialize).unwrap();
+            let mat = q
+                .evaluate_seeded_mode(&g, &mut c2, &seed, PlannerMode::Materialize)
+                .unwrap();
             assert_eq!(row_set(&auto), row_set(&mat), "{query} seed {seed_var:?}");
             let mut c3 = EvalCache::new();
             assert_eq!(
-                evaluate_seeded_exists(&g, &q, &mut c3, &seed).unwrap(),
+                q.evaluate_seeded_exists(&g, &mut c3, &seed).unwrap(),
                 !mat.is_empty(),
                 "{query}"
             );
@@ -1018,9 +894,15 @@ mod tests {
     #[test]
     fn evaluate_exists_probes_constants() {
         let g = g1();
-        assert!(evaluate_exists(&g, &Cnre::parse("(\"c1\", f.f, \"c2\")").unwrap()).unwrap());
-        assert!(!evaluate_exists(&g, &Cnre::parse("(\"c2\", f, \"c1\")").unwrap()).unwrap());
-        assert!(!evaluate_exists(&g, &Cnre::parse("(\"nope\", f, x)").unwrap()).unwrap());
+        let exists = |text: &str| {
+            PreparedQuery::parse(text)
+                .unwrap()
+                .evaluate_exists(&g)
+                .unwrap()
+        };
+        assert!(exists("(\"c1\", f.f, \"c2\")"));
+        assert!(!exists("(\"c2\", f, \"c1\")"));
+        assert!(!exists("(\"nope\", f, x)"));
     }
 
     #[test]

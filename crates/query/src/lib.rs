@@ -13,13 +13,12 @@
 //! * [`Cnre`] / [`CnreAtom`] — the query type with a text format
 //!   `(x1, f.f*, y), (y, h, x4)` (quoted names are constants);
 //! * [`PreparedQuery`] — parse + validate once, pre-compile the demand
-//!   automata, evaluate many times (across graphs and epochs); the
-//!   primary evaluation surface;
+//!   automata, evaluate many times (across graphs, epochs and threads);
+//!   the evaluation surface;
 //! * [`eval`] — the join core over per-atom *access paths*: materialized
 //!   relations or seeded product-BFS, chosen by the cost model in
 //!   [`plan`] (bound endpoints and label selectivity from
-//!   [`gdx_graph::Graph::label_stats`]). The free `evaluate*` functions
-//!   are deprecated one-shot wrappers kept for downstream code;
+//!   [`gdx_graph::Graph::label_stats`]);
 //! * [`seminaive`] — delta-driven evaluation for the chase:
 //!   [`SemiNaiveState::delta_matches`] returns only the matches that did
 //!   not exist at the previous call, via `⋃ᵢ (Δᵢ ⋈ full others)` on top of
@@ -36,12 +35,7 @@ pub mod prepared;
 pub mod seminaive;
 
 pub use cnre::{Cnre, CnreAtom};
-#[allow(deprecated)]
-pub use eval::{
-    evaluate, evaluate_exists, evaluate_seeded, evaluate_seeded_exists, evaluate_seeded_mode,
-    evaluate_with_cache,
-};
-pub use eval::{evaluate_with_scratch, NodeBindings, Rows};
+pub use eval::{NodeBindings, Rows};
 pub use explain::{explain_query, AtomExplain, PlanExplain};
 pub use plan::{AccessChoice, PlannerMode};
 pub use prepared::PreparedQuery;

@@ -1,26 +1,34 @@
 //! Prepared CNRE queries: parse, validate, and compile once — evaluate
-//! many times.
+//! many times, from any number of threads.
 //!
-//! The free evaluation functions of [`crate::eval`] pay per call for work
-//! that only depends on the *query*: validation, and compilation of the
-//! guarded product-automata behind the demand access path (each fresh
-//! [`EvalCache`] carries an empty demand pool). The paper's workloads ask
-//! the same CNREs over and over — constraint bodies per chase round,
-//! certain-answer probes per candidate solution — so [`PreparedQuery`]
-//! hoists that work into construction:
+//! The paper's workloads ask the same CNREs over and over — constraint
+//! bodies per chase round, certain-answer probes per solution graph — so
+//! [`PreparedQuery`] hoists everything that depends only on the *query*
+//! into construction:
 //!
 //! * the query text is parsed and validated once ([`PreparedQuery::parse`]);
-//! * every atom's NRE is compiled into a demand evaluator up front
-//!   ([`gdx_nre::DemandPool::prepared`]); atoms outside the demand
+//! * every atom's NRE is compiled into its guarded demand automata up
+//!   front ([`gdx_nre::DemandAutomata`]); atoms outside the demand
 //!   fragment are remembered as materialize-only, so planning never
 //!   re-attempts compilation;
 //! * the variable list (the output schema) is computed once.
 //!
-//! Evaluation itself still takes the graph *and* a materialization cache:
-//! relations are per-graph artifacts, while the compiled automata are
-//! graph-independent (the demand evaluators re-pin their memo tables to
-//! the `(GraphId, Epoch)` they are probed against, so one prepared query
-//! serves many graphs and many epochs of one growing graph).
+//! # Where evaluation state lives
+//!
+//! One rule, for every caller at every worker count: **compiled automata
+//! live in the query, memo state lives in the graph's cache.** A prepared
+//! query is immutable (`Send + Sync`), so one instance can be probed from
+//! every worker of a parallel region at once. Everything an evaluation
+//! mutates — materialized relations, and the demand evaluators with their
+//! per-node memos, bitsets and BFS frontier — lives in the caller's
+//! per-graph [`EvalCache`] (or [`IncrementalCache`]). A cache creates an
+//! atom's evaluator from the query's compiled automata on first use, so
+//! nothing compiles on the evaluation path, and a cache has one owner at
+//! a time.
+//!
+//! The query does own one piece of shared state: counters crediting the
+//! demand work done on its behalf ([`PreparedQuery::demand_stats`]),
+//! summed over every cache and thread that evaluated it.
 //!
 //! ```
 //! use gdx_graph::Graph;
@@ -33,34 +41,80 @@
 //! // One compiled query, probed against two different graphs.
 //! assert!(q.evaluate_exists(&g1).unwrap());
 //! assert!(!q.evaluate_exists(&g2).unwrap());
-//! // Callers with a cache keep materialized relations warm across calls.
+//! // Callers with a cache keep relations and memos warm across calls.
 //! let mut cache = EvalCache::new();
 //! let rows = q.matches(&g1, &mut cache).unwrap();
 //! assert_eq!(rows.len(), 1, "Boolean query: one empty witness row");
 //! ```
+//!
+//! [`IncrementalCache`]: gdx_nre::IncrementalCache
 
 use crate::cnre::Cnre;
 use crate::eval::{planned_eval, NodeBindings, RelCache};
 use crate::plan::PlannerMode;
 use gdx_common::{FxHashMap, Result, Symbol, Term};
 use gdx_graph::{Graph, NodeId};
-use gdx_nre::demand::DemandEvaluator;
 use gdx_nre::eval::EvalCache;
-use gdx_nre::{BinRel, DemandPool, Nre};
+use gdx_nre::{DemandAutomata, DemandStats, Nre};
 use gdx_runtime::Runtime;
-use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A parsed, validated CNRE with pre-compiled demand automata and its
-/// output schema — reusable across graphs and epochs.
+/// output schema — reusable across graphs, epochs and threads.
 ///
 /// Construct once per query shape (per constraint body, per user query),
 /// then call the evaluation methods freely; see the [module docs](self)
-/// for what is hoisted into construction.
+/// for what is hoisted into construction and where evaluation state
+/// lives.
 #[derive(Debug)]
 pub struct PreparedQuery {
     query: Cnre,
     vars: Vec<Symbol>,
-    pool: DemandPool,
+    /// Per atom, its compiled demand side; `None` outside the demand
+    /// fragment (the atom always materializes).
+    compiled: Vec<Option<CompiledAtom>>,
+}
+
+/// One atom's compiled demand side: the automata every cache creates the
+/// atom's evaluator from, and the counters that evaluator's work is
+/// credited to. Atoms sharing an NRE share both (and one evaluator per
+/// cache).
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledAtom {
+    pub(crate) automata: Arc<DemandAutomata>,
+    pub(crate) credit: Arc<DemandCredit>,
+}
+
+// The query is shared by reference across runtime workers.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<PreparedQuery>();
+};
+
+/// Cumulative [`DemandStats`] credited to one atom NRE of a query.
+#[derive(Debug, Default)]
+pub(crate) struct DemandCredit {
+    visited: AtomicUsize,
+    bfs_runs: AtomicUsize,
+    guard_checks: AtomicUsize,
+}
+
+impl DemandCredit {
+    pub(crate) fn add(&self, d: DemandStats) {
+        self.visited.fetch_add(d.visited, Ordering::Relaxed);
+        self.bfs_runs.fetch_add(d.bfs_runs, Ordering::Relaxed);
+        self.guard_checks
+            .fetch_add(d.guard_checks, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> DemandStats {
+        DemandStats {
+            visited: self.visited.load(Ordering::Relaxed),
+            bfs_runs: self.bfs_runs.load(Ordering::Relaxed),
+            guard_checks: self.guard_checks.load(Ordering::Relaxed),
+        }
+    }
 }
 
 impl PreparedQuery {
@@ -80,11 +134,27 @@ impl PreparedQuery {
 
     /// Prepares an already-built query. Compilation cannot fail (atoms
     /// outside the demand fragment simply materialize); shape validation
-    /// happens on evaluation, exactly like the free functions.
+    /// happens on evaluation.
     pub fn new(query: Cnre) -> PreparedQuery {
         let vars = query.variables();
-        let pool = DemandPool::prepared(query.atoms.iter().map(|a| &a.nre));
-        PreparedQuery { query, vars, pool }
+        let mut compiled: Vec<Option<CompiledAtom>> = Vec::new();
+        for (i, atom) in query.atoms.iter().enumerate() {
+            let c = match query.atoms[..i].iter().position(|a| a.nre == atom.nre) {
+                Some(j) => compiled[j].clone(),
+                None => DemandAutomata::compile(&atom.nre)
+                    .ok()
+                    .map(|automata| CompiledAtom {
+                        automata,
+                        credit: Arc::default(),
+                    }),
+            };
+            compiled.push(c);
+        }
+        PreparedQuery {
+            query,
+            vars,
+            compiled,
+        }
     }
 
     /// Prepares the single-atom query `(left, r, right)` — the shape of
@@ -103,8 +173,8 @@ impl PreparedQuery {
         &self.vars
     }
 
-    /// Evaluates over `graph` with a private, throwaway materialization
-    /// cache. Callers issuing several calls against one graph should use
+    /// Evaluates over `graph` with a private, throwaway cache. Callers
+    /// issuing several calls against one graph should use
     /// [`PreparedQuery::matches`] with a shared [`EvalCache`].
     pub fn evaluate(&self, graph: &Graph) -> Result<NodeBindings> {
         self.matches(graph, &mut EvalCache::new())
@@ -114,21 +184,12 @@ impl PreparedQuery {
     /// answer row; with a constants-only query this is the certain-answer
     /// probe shape, served by seeded product-BFS.
     pub fn evaluate_exists(&self, graph: &Graph) -> Result<bool> {
-        let mut cache = EvalCache::new();
-        Ok(!self
-            .eval_planned(
-                graph,
-                &mut cache,
-                &FxHashMap::default(),
-                PlannerMode::Auto,
-                Some(1),
-                &Runtime::sequential(),
-            )?
-            .is_empty())
+        self.evaluate_seeded_exists(graph, &mut EvalCache::new(), &FxHashMap::default())
     }
 
-    /// All matches over `graph`, with materialized relations drawn from
-    /// (and left in) `cache` for reuse across calls on the same graph.
+    /// All matches over `graph`, with materialized relations and demand
+    /// memos drawn from (and left in) `cache` for reuse across calls on
+    /// the same graph.
     pub fn matches(&self, graph: &Graph, cache: &mut EvalCache) -> Result<NodeBindings> {
         self.evaluate_seeded(graph, cache, &FxHashMap::default())
     }
@@ -143,14 +204,7 @@ impl PreparedQuery {
         cache: &mut EvalCache,
         seed: &FxHashMap<Symbol, NodeId>,
     ) -> Result<NodeBindings> {
-        self.eval_planned(
-            graph,
-            cache,
-            seed,
-            PlannerMode::Auto,
-            None,
-            &Runtime::sequential(),
-        )
+        self.evaluate_limited(graph, cache, seed, PlannerMode::Auto, None)
     }
 
     /// [`PreparedQuery::evaluate_seeded`] with an explicit planner mode —
@@ -163,7 +217,7 @@ impl PreparedQuery {
         seed: &FxHashMap<Symbol, NodeId>,
         mode: PlannerMode,
     ) -> Result<NodeBindings> {
-        self.eval_planned(graph, cache, seed, mode, None, &Runtime::sequential())
+        self.evaluate_limited(graph, cache, seed, mode, None)
     }
 
     /// Existence probe under a seed: early-exits at the first satisfying
@@ -175,14 +229,7 @@ impl PreparedQuery {
         seed: &FxHashMap<Symbol, NodeId>,
     ) -> Result<bool> {
         Ok(!self
-            .eval_planned(
-                graph,
-                cache,
-                seed,
-                PlannerMode::Auto,
-                Some(1),
-                &Runtime::sequential(),
-            )?
+            .evaluate_limited(graph, cache, seed, PlannerMode::Auto, Some(1))?
             .is_empty())
     }
 
@@ -194,11 +241,18 @@ impl PreparedQuery {
         crate::explain::explain_query(graph, &self.query, &Default::default(), mode)
     }
 
-    /// Probe counters of the compiled demand evaluator for `r` (an atom's
-    /// NRE), when `r` is in the demand fragment and was compiled at
-    /// construction — observability for tests and benches.
+    /// Demand-evaluator work done on behalf of this query for the atom
+    /// NRE `r`, summed over every cache and worker that evaluated it;
+    /// `None` when `r` is not an atom of this query in the demand
+    /// fragment — observability for tests, benches and the session's
+    /// `demand.*` counters.
     pub fn demand_stats(&self, r: &Nre) -> Option<gdx_nre::DemandStats> {
-        self.pool.get(r).map(|ev| ev.borrow().stats())
+        self.query
+            .atoms
+            .iter()
+            .zip(&self.compiled)
+            .find_map(|(a, c)| c.as_ref().filter(|_| a.nre == *r))
+            .map(|c| c.credit.load())
     }
 
     /// The full-control entry point: planner mode and an answer-row cap
@@ -211,7 +265,7 @@ impl PreparedQuery {
         mode: PlannerMode,
         limit: Option<usize>,
     ) -> Result<NodeBindings> {
-        self.eval_planned(graph, cache, seed, mode, limit, &Runtime::sequential())
+        self.eval_in(graph, cache, seed, mode, limit, &Runtime::sequential())
     }
 
     /// [`PreparedQuery::evaluate_limited`] with an explicit [`Runtime`]:
@@ -219,11 +273,9 @@ impl PreparedQuery {
     /// joins) the join's outer loop partition across the runtime's
     /// workers. Answers are byte-identical at any worker count.
     ///
-    /// The prepared query itself still evaluates from one calling thread
-    /// (its compiled demand pool is single-threaded scratch); the
-    /// parallelism here is *inside* the evaluation. To fan whole
-    /// evaluations out across threads, give each worker its own scratch
-    /// cache via [`crate::evaluate_with_scratch`].
+    /// To fan whole evaluations out instead (one per solution graph),
+    /// call this from each worker with that graph's own cache and a
+    /// sequential runtime; the query itself is shared.
     pub fn evaluate_limited_rt(
         &self,
         graph: &Graph,
@@ -233,48 +285,29 @@ impl PreparedQuery {
         limit: Option<usize>,
         rt: &Runtime,
     ) -> Result<NodeBindings> {
-        self.eval_planned(graph, cache, seed, mode, limit, rt)
+        self.eval_in(graph, cache, seed, mode, limit, rt)
     }
 
-    fn eval_planned(
+    /// Planned evaluation against any per-graph cache.
+    pub(crate) fn eval_in<C: RelCache>(
         &self,
         graph: &Graph,
-        cache: &mut EvalCache,
+        cache: &mut C,
         seed: &FxHashMap<Symbol, NodeId>,
         mode: PlannerMode,
         limit: Option<usize>,
         rt: &Runtime,
     ) -> Result<NodeBindings> {
-        let mut backed = PreparedRelCache {
-            inner: cache,
-            pool: &self.pool,
-        };
-        planned_eval(graph, &self.query, &mut backed, seed, mode, limit, rt)
-    }
-}
-
-/// [`RelCache`] adapter splitting the two cache roles: materialized
-/// relations live in the caller's per-graph [`EvalCache`], compiled demand
-/// evaluators come from the prepared query's own pool (`demand_ensure`
-/// becomes a lookup — the pool was populated at construction, so nothing
-/// compiles on the evaluation path).
-struct PreparedRelCache<'a> {
-    inner: &'a mut EvalCache,
-    pool: &'a DemandPool,
-}
-
-impl RelCache for PreparedRelCache<'_> {
-    fn ensure(&mut self, graph: &Graph, r: &Nre, rt: &Runtime) {
-        EvalCache::ensure_rt(self.inner, graph, r, rt);
-    }
-    fn get(&self, r: &Nre) -> Option<&BinRel> {
-        EvalCache::get(self.inner, r)
-    }
-    fn demand_ensure(&mut self, r: &Nre) -> bool {
-        self.pool.compiled(r)
-    }
-    fn demand_get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>> {
-        self.pool.get(r)
+        planned_eval(
+            graph,
+            &self.query,
+            &self.compiled,
+            cache,
+            seed,
+            mode,
+            limit,
+            rt,
+        )
     }
 }
 
@@ -293,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_agrees_with_free_evaluation_across_shapes() {
+    fn prepared_agrees_with_materialize_baseline_across_shapes() {
         let g = g1();
         for text in [
             "(x, h, y)",
@@ -302,11 +335,69 @@ mod tests {
             "(\"c1\", f.f, \"c2\")",
         ] {
             let q = PreparedQuery::parse(text).unwrap();
-            #[allow(deprecated)]
-            let free = crate::evaluate(&g, q.cnre()).unwrap();
-            assert_eq!(row_set(&q.evaluate(&g).unwrap()), row_set(&free), "{text}");
-            assert_eq!(q.evaluate_exists(&g).unwrap(), !free.is_empty(), "{text}");
+            let baseline = q
+                .evaluate_seeded_mode(
+                    &g,
+                    &mut EvalCache::new(),
+                    &FxHashMap::default(),
+                    PlannerMode::Materialize,
+                )
+                .unwrap();
+            assert_eq!(
+                row_set(&q.evaluate(&g).unwrap()),
+                row_set(&baseline),
+                "{text}"
+            );
+            assert_eq!(
+                q.evaluate_exists(&g).unwrap(),
+                !baseline.is_empty(),
+                "{text}"
+            );
         }
+    }
+
+    #[test]
+    fn demand_work_is_credited_across_caches_and_threads() {
+        // The compiled automata are shared; each cache grows its own
+        // evaluator, and every evaluation credits its work to the query.
+        let q = PreparedQuery::parse("(\"c1\", f.f, \"c2\")").unwrap();
+        let r = gdx_nre::parse::parse_nre("f.f").unwrap();
+        assert_eq!(q.demand_stats(&r).unwrap().visited, 0);
+        let g = g1();
+        // A graph big enough for the planner to pick the demand path.
+        let mut big = g.clone();
+        for i in 0..200 {
+            let a = big.add_const(&format!("a{i}"));
+            let b = big.add_const(&format!("b{i}"));
+            big.add_edge_labelled(a, "f", b);
+        }
+        let mut one = EvalCache::new();
+        assert!(q
+            .evaluate_seeded_exists(&big, &mut one, &FxHashMap::default())
+            .unwrap());
+        let single = q.demand_stats(&r).unwrap();
+        assert!(single.visited > 0, "the probe took the demand path");
+        // The same probe on four fresh caches from four threads.
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut cache = EvalCache::new();
+                    assert!(q
+                        .evaluate_seeded_exists(&big, &mut cache, &FxHashMap::default())
+                        .unwrap());
+                });
+            }
+        });
+        assert_eq!(q.demand_stats(&r).unwrap().visited, 5 * single.visited);
+        // A warm cache answers from its memo: no new work.
+        assert!(q
+            .evaluate_seeded_exists(&big, &mut one, &FxHashMap::default())
+            .unwrap());
+        assert_eq!(q.demand_stats(&r).unwrap().visited, 5 * single.visited);
+        // NREs that are not atoms of the query report nothing.
+        assert!(q
+            .demand_stats(&gdx_nre::parse::parse_nre("h").unwrap())
+            .is_none());
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //! evaluation — never to a silently truncated delta.
 
 use crate::cnre::Cnre;
-use crate::eval::{
-    greedy_order, join_access, planned_eval, resolve_slots, AtomAccess, NodeBindings, RowBuf,
-};
+use crate::eval::{greedy_order, join_access, resolve_slots, AtomAccess, NodeBindings, RowBuf};
 use crate::plan::PlannerMode;
+use crate::prepared::PreparedQuery;
 use gdx_common::{FxHashMap, FxHashSet, Result, Symbol};
 use gdx_graph::{Graph, NodeId};
 use gdx_nre::incremental::{EvalMark, IncrementalCache};
@@ -175,21 +174,21 @@ impl SemiNaiveState {
     }
 }
 
-/// Seeded evaluation backed by an [`IncrementalCache`] — the incremental
-/// sibling of [`crate::evaluate_seeded`], used by the chase for
+/// Seeded evaluation of a prepared query backed by an
+/// [`IncrementalCache`] — the incremental sibling of
+/// [`PreparedQuery::evaluate_seeded`], used by the chase for
 /// head-satisfaction checks so repeated checks advance materialized
 /// relations instead of rebuilding them. Atoms the planner routes to the
 /// demand path skip materialization entirely (product-BFS from the seeded
 /// endpoint, memoized in the cache's demand pool).
 pub fn evaluate_seeded_incremental(
     graph: &Graph,
-    query: &Cnre,
+    query: &PreparedQuery,
     cache: &mut IncrementalCache,
     seed: &FxHashMap<Symbol, NodeId>,
 ) -> Result<NodeBindings> {
-    planned_eval(
+    query.eval_in(
         graph,
-        query,
         cache,
         seed,
         PlannerMode::Auto,
@@ -203,26 +202,25 @@ pub fn evaluate_seeded_incremental(
 /// head-satisfaction checks.
 pub fn evaluate_seeded_incremental_exists(
     graph: &Graph,
-    query: &Cnre,
+    query: &PreparedQuery,
     cache: &mut IncrementalCache,
     seed: &FxHashMap<Symbol, NodeId>,
 ) -> Result<bool> {
-    Ok(!planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        PlannerMode::Auto,
-        Some(1),
-        &Runtime::sequential(),
-    )?
-    .is_empty())
+    Ok(!query
+        .eval_in(
+            graph,
+            cache,
+            seed,
+            PlannerMode::Auto,
+            Some(1),
+            &Runtime::sequential(),
+        )?
+        .is_empty())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prepared::PreparedQuery;
     use gdx_common::FxHashSet;
 
     fn row_set(b: &NodeBindings) -> FxHashSet<Vec<NodeId>> {
@@ -317,7 +315,7 @@ mod tests {
     #[test]
     fn seeded_incremental_matches_seeded() {
         let g = Graph::parse("(c1, f, _N); (_N, h, hx); (_N, h, hy);").unwrap();
-        let q = Cnre::parse("(x, f, y), (y, h, z)").unwrap();
+        let q = PreparedQuery::parse("(x, f, y), (y, h, z)").unwrap();
         let mut inc = IncrementalCache::new();
         let mut seed = FxHashMap::default();
         seed.insert(
@@ -326,9 +324,7 @@ mod tests {
         );
         let a = evaluate_seeded_incremental(&g, &q, &mut inc, &seed).unwrap();
         let mut cache = gdx_nre::eval::EvalCache::new();
-        let b = PreparedQuery::new(q.clone())
-            .evaluate_seeded(&g, &mut cache, &seed)
-            .unwrap();
+        let b = q.evaluate_seeded(&g, &mut cache, &seed).unwrap();
         assert_eq!(row_set(&a), row_set(&b));
         assert_eq!(a.len(), 2);
     }

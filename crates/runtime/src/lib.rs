@@ -15,8 +15,8 @@
 //! * [`Runtime::par_map`] — per-item fan-out over coarse units (solution
 //!   graphs, constraint triggers), results in item order.
 //! * [`Runtime::par_map_mut`] — like `par_map` but each worker gets
-//!   exclusive `&mut` access to its item; the per-worker-scratch pattern
-//!   (one `EvalCache` per solution graph) runs through this.
+//!   exclusive `&mut` access to its item; per-unit mutable state (one
+//!   `EvalCache` per solution graph) travels to its worker through this.
 //!
 //! # Determinism contract
 //!
@@ -242,12 +242,15 @@ impl Runtime {
                             // Own deque from the back; steal from the
                             // front of the neighbours' otherwise. All
                             // tasks exist up front, so empty-everywhere
-                            // means finished.
-                            let task = match deques[w]
+                            // means finished. The own-deque guard must
+                            // drop before any steal: holding it while
+                            // locking a neighbour deadlocks two workers
+                            // that run dry together (ABBA).
+                            let own = deques[w]
                                 .lock()
                                 .unwrap_or_else(PoisonError::into_inner)
-                                .pop_back()
-                            {
+                                .pop_back();
+                            let task = match own {
                                 Some(ci) => Some(ci),
                                 None => {
                                     let stolen = (1..workers).find_map(|k| {
@@ -355,11 +358,10 @@ impl Runtime {
         .collect()
     }
 
-    /// [`Runtime::par_map`] with exclusive mutable access to each item —
-    /// the per-worker-scratch pattern: callers move each unit's scratch
-    /// state (e.g. one `EvalCache` per solution graph) into the slice,
-    /// workers mutate their claimed unit freely, and the caller merges the
-    /// scratch back at this barrier. Each item is claimed exactly once, so
+    /// [`Runtime::par_map`] with exclusive mutable access to each item:
+    /// callers move each unit's mutable state (e.g. one `EvalCache` per
+    /// solution graph) into the slice, workers mutate their claimed unit
+    /// freely, and the caller takes the state back after this barrier. Each item is claimed exactly once, so
     /// the per-item mutex is uncontended by construction.
     pub fn par_map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
     where

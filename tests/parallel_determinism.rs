@@ -105,9 +105,36 @@ fn randomized_chases_are_byte_identical_across_worker_counts() {
     }
 }
 
+/// The session's `demand.*` registry counters.
+fn demand_counters(obs: &Obs) -> [u64; 3] {
+    let reg = obs.registry().expect("enabled obs");
+    [
+        reg.counter("demand.visited"),
+        reg.counter("demand.bfs_runs"),
+        reg.counter("demand.guard_checks"),
+    ]
+}
+
+/// Runs `call` and fingerprints the demand work it caused: the query's
+/// own `demand_stats` per atom (cumulative) plus the growth of the
+/// session's `demand.*` registry counters during the call.
+fn demand_work<T>(query: &PreparedQuery, obs: &Obs, call: impl FnOnce() -> T) -> (T, String) {
+    let before = demand_counters(obs);
+    let out = call();
+    let after = demand_counters(obs);
+    let registry: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    let per_atom: Vec<String> = query
+        .cnre()
+        .atoms
+        .iter()
+        .map(|a| format!("{:?}", query.demand_stats(&a.nre)))
+        .collect();
+    (out, format!("query {per_atom:?} registry {registry:?}"))
+}
+
 /// End-to-end session pin: representative, solution stream order, chase
-/// stats, certain answers and certain pairs all coincide at 1 and 4
-/// workers.
+/// stats, certain answers, certain probes and pairs, and the demand work
+/// counted for the probes all coincide at 1 and 4 workers.
 #[test]
 fn session_outputs_identical_across_worker_counts() {
     let setting = Setting::example_2_2_egd();
@@ -121,8 +148,10 @@ fn session_outputs_identical_across_worker_counts() {
         &mut rng(7),
     );
     let run = |workers: usize| {
+        let obs = Obs::enabled();
         let mut s = ExchangeSession::new(setting.clone(), instance.clone())
-            .with_options(Options::default().with_threads(Threads::Fixed(workers)));
+            .with_options(Options::default().with_threads(Threads::Fixed(workers)))
+            .with_obs(obs.clone());
         let rep = match s.representative().unwrap() {
             gdx::exchange::representative::RepresentativeOutcome::Representative(rep) => {
                 rep.pattern.to_string()
@@ -138,15 +167,37 @@ fn session_outputs_identical_across_worker_counts() {
             .collect();
         let stats = format!("{:?}", s.chase_stats());
         let q = PreparedQuery::parse("(x1, f.f*.[h].f-.(f-)*, x2)").unwrap();
-        let (rows, exact) = s.certain_answers(&q).unwrap();
+        let ((rows, exact), answers_work) =
+            demand_work(&q, &obs, || s.certain_answers(&q).unwrap());
         let answers = format!("{rows:?} exact={exact}");
+        // A certain answer, asked back as a constants-only probe: it holds
+        // in every solution, so every worker count probes the whole family
+        // and must count the same demand work.
+        let (c1, c2) = (rows[0][0].name(), rows[0][1].name());
+        let probe = PreparedQuery::parse(&format!(
+            "(\"{}\", f.f*.[h].f-.(f-)*, \"{}\")",
+            c1.as_str(),
+            c2.as_str()
+        ))
+        .unwrap();
+        let (verdict, probe_work) = demand_work(&probe, &obs, || s.certain(&probe).unwrap());
+        assert!(
+            !matches!(verdict, CertainAnswer::NotCertain(_)),
+            "a certain answer has no counterexample"
+        );
+        let visited = probe
+            .demand_stats(&probe.cnre().atoms[0].nre)
+            .unwrap()
+            .visited;
+        assert!(visited > 0, "the probe took the demand path");
+        let probe = format!("{verdict:?} {answers_work} {probe_work}");
         let r = gdx::nre::parse::parse_nre("f.f*").unwrap();
         let pair = format!(
             "{:?}/{:?}",
             s.certain_pair(&r, "city0", "city1").unwrap().is_certain(),
             s.certain_pair(&r, "city1", "city0").unwrap().is_certain(),
         );
-        (rep, sols, stats, answers, pair)
+        (rep, sols, stats, answers, pair, probe)
     };
     let one = run(1);
     let four = run(4);
@@ -155,6 +206,7 @@ fn session_outputs_identical_across_worker_counts() {
     assert_eq!(one.2, four.2, "ChaseStats");
     assert_eq!(one.3, four.3, "certain_answers rows + exactness");
     assert_eq!(one.4, four.4, "certain_pair verdicts");
+    assert_eq!(one.5, four.5, "certain probe verdict and demand counters");
 }
 
 /// Observability must be inert: the same session fingerprint as
@@ -329,8 +381,10 @@ fn multi_solution_family_certainty_is_identical_across_worker_counts() {
     .unwrap();
     let instance = Instance::parse(setting.source.clone(), "R1(c1); R2(c2);").unwrap();
     let run = |workers: usize| {
+        let obs = Obs::enabled();
         let mut s = ExchangeSession::new(setting.clone(), instance.clone())
-            .with_options(Options::default().with_threads(Threads::Fixed(workers)));
+            .with_options(Options::default().with_threads(Threads::Fixed(workers)))
+            .with_obs(obs.clone());
         let sols: Vec<String> = s
             .solutions()
             .unwrap()
@@ -340,19 +394,33 @@ fn multi_solution_family_certainty_is_identical_across_worker_counts() {
         let q = PreparedQuery::parse("(\"c1\", a, \"c2\")").unwrap();
         let not_q = PreparedQuery::parse("(\"c1\", t, \"c1\")").unwrap();
         let qa = PreparedQuery::parse("(x, a, y)").unwrap();
-        let (rows, exact) = s.certain_answers(&qa).unwrap();
+        let ((rows, exact), answers_work) =
+            demand_work(&qa, &obs, || s.certain_answers(&qa).unwrap());
         // Counterexample verdicts carry the refuting graph; fingerprint
         // its *text* (GraphId is a process-global counter, so Debug would
-        // differ between any two runs in one process).
+        // differ between any two runs in one process). Its demand work is
+        // not pinned: parallel workers may probe past the counterexample.
         let counterexample = match s.certain(&not_q).unwrap() {
             CertainAnswer::NotCertain(g) => format!("not-certain:\n{g}"),
             other => format!("{other:?}"),
         };
+        // A certain probe the planner serves by product-BFS (the plain
+        // `a` probe materializes on graphs this small): every worker count
+        // probes the whole family and must count the same demand work.
+        let star = PreparedQuery::parse("(\"c1\", a*, \"c2\")").unwrap();
+        let (star_certain, star_work) =
+            demand_work(&star, &obs, || s.certain(&star).unwrap().is_certain());
+        let visited = star
+            .demand_stats(&star.cnre().atoms[0].nre)
+            .unwrap()
+            .visited;
+        assert!(visited > 0, "the starred probe took the demand path");
         (
             sols,
             s.certain(&q).unwrap().is_certain(),
             counterexample,
             format!("{rows:?} exact={exact}"),
+            format!("{star_certain} {answers_work} {star_work}"),
         )
     };
     assert_eq!(run(1), run(4));
