@@ -5,10 +5,9 @@
 //! a transition for every letter), which makes complementation a flip of
 //! the accept set.
 
-use crate::eval_nfa::EvalNfa;
 use crate::letter::Letter;
-use crate::nfa::{Nfa, StateId};
-use gdx_common::{FxHashMap, FxHashSet, Result};
+use gdx_common::{FxHashMap, FxHashSet, GdxError, Result};
+use gdx_nre::nfa::{Nfa, State};
 use gdx_nre::Nre;
 use std::collections::VecDeque;
 
@@ -34,29 +33,27 @@ impl Dfa {
 
     /// Compiles a test-free NRE into a complete DFA over `alphabet`
     /// (which must contain every letter of the NRE — use
-    /// [`crate::letter::joint_alphabet`]).
+    /// [`crate::letter::joint_alphabet`]) by subset construction over its
+    /// ε-free automaton ([`Nfa::compile`]): targets are pre-closed, so each
+    /// step is a plain sorted union. Missing transitions go to an
+    /// (implicit, possibly unreachable) empty subset acting as sink. Fails
+    /// with [`GdxError::Unsupported`] on nesting tests.
     pub fn from_nre(r: &Nre, alphabet: &[Letter]) -> Result<Dfa> {
-        let nfa = Nfa::from_nre(r)?;
-        Ok(Dfa::determinize(&nfa, alphabet))
-    }
-
-    /// Subset construction. The result is complete: missing transitions go
-    /// to an (implicit, possibly unreachable) empty subset acting as sink.
-    pub fn determinize(nfa: &Nfa, alphabet: &[Letter]) -> Dfa {
-        Dfa::determinize_eval(&EvalNfa::from_nfa(nfa), alphabet)
-    }
-
-    /// Subset construction over the ε-free [`EvalNfa`] form: targets are
-    /// pre-closed, so each step is a plain sorted union.
-    pub fn determinize_eval(nfa: &EvalNfa, alphabet: &[Letter]) -> Dfa {
-        let mut subsets: FxHashMap<Vec<StateId>, u32> = FxHashMap::default();
+        let (nfa, guards) = Nfa::compile(r);
+        if !guards.is_empty() {
+            return Err(GdxError::unsupported(
+                "nesting tests have no regular-word semantics; automata \
+                 construction handles test-free NREs only",
+            ));
+        }
+        let mut subsets: FxHashMap<Vec<State>, u32> = FxHashMap::default();
         let mut trans: Vec<Vec<u32>> = Vec::new();
         let mut accept: Vec<bool> = Vec::new();
-        let mut queue: VecDeque<Vec<StateId>> = VecDeque::new();
+        let mut queue: VecDeque<Vec<State>> = VecDeque::new();
 
-        let is_accepting = |key: &[StateId]| key.iter().any(|&s| nfa.accept[s as usize]);
+        let is_accepting = |key: &[State]| key.iter().any(|&s| nfa.is_accept(s));
 
-        let start_key = nfa.start.clone();
+        let start_key = nfa.start().to_vec();
         subsets.insert(start_key.clone(), 0);
         trans.push(vec![u32::MAX; alphabet.len()]);
         accept.push(is_accepting(&start_key));
@@ -65,9 +62,9 @@ impl Dfa {
         while let Some(key) = queue.pop_front() {
             let sid = subsets[&key];
             for (li, &letter) in alphabet.iter().enumerate() {
-                let mut next_key: Vec<StateId> = Vec::new();
+                let mut next_key: Vec<State> = Vec::new();
                 for &s in &key {
-                    next_key.extend(nfa.step(s, letter).iter().copied());
+                    next_key.extend(nfa.step(s, letter.action()).iter().copied());
                 }
                 next_key.sort_unstable();
                 next_key.dedup();
@@ -86,12 +83,12 @@ impl Dfa {
             }
         }
         debug_assert!(trans.iter().all(|row| row.iter().all(|&t| t != u32::MAX)));
-        Dfa {
+        Ok(Dfa {
             alphabet: alphabet.to_vec(),
             trans,
             start: 0,
             accept,
-        }
+        })
     }
 
     /// Complement (alphabet-relative).
@@ -329,6 +326,34 @@ mod tests {
         assert!(d.accepts(&word("a c a")));
         assert!(!d.accepts(&word("a b c a")));
         assert!(!d.accepts(&word("a")));
+    }
+
+    #[test]
+    fn word_acceptance_table() {
+        for (expr, w, expect) in [
+            ("a", "a", true),
+            ("a", "b", false),
+            ("a", "", false),
+            ("eps", "", true),
+            ("a-", "a-", true),
+            ("a-", "a", false),
+            ("a.b", "a b", true),
+            ("a.b", "b a", false),
+            ("a+b", "b", true),
+            ("a*", "", true),
+            ("a*", "a a a", true),
+            ("a.a*", "", false),
+            ("a.(b*+c*).a", "a c c a", true),
+            ("a.(b*+c*).a", "a b c a", false),
+        ] {
+            assert_eq!(dfa(expr).accepts(&word(w)), expect, "{expr} on {w:?}");
+        }
+    }
+
+    #[test]
+    fn tests_rejected() {
+        let r = parse_nre("a.[b]").unwrap();
+        assert!(Dfa::from_nre(&r, &joint_alphabet(&[&r])).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Directed letters: the doubled alphabet `{a, a⁻ | a ∈ Σ}`.
 
 use gdx_common::{FxHashSet, Symbol};
+use gdx_nre::nfa::Action;
 use gdx_nre::Nre;
 use std::fmt;
 
@@ -27,6 +28,15 @@ impl Letter {
         Letter {
             symbol,
             inverse: true,
+        }
+    }
+
+    /// The automaton action that reads this letter.
+    pub fn action(self) -> Action {
+        if self.inverse {
+            Action::Bwd(self.symbol)
+        } else {
+            Action::Fwd(self.symbol)
         }
     }
 }

@@ -10,14 +10,12 @@
 //! the path satisfies the atom: the language inclusion
 //! `L(r₁·…·r_k) ⊆ L(s)`. This crate provides exactly that:
 //!
-//! * [`Nfa`] — Thompson construction from test-free NREs;
-//! * [`EvalNfa`] — the ε-free *evaluation* form (dense states, per-letter
-//!   transition index, structural reversal) behind the subset
-//!   construction; `gdx_nre::demand` mirrors the same construction (with
-//!   guard transitions) for product-reachability evaluation, since this
-//!   crate sits above `gdx-nre` in the dependency graph;
-//! * [`Dfa`] — subset construction, completion, complement, product,
-//!   emptiness, shortest accepted word, Moore minimization;
+//! * [`Letter`] — the doubled alphabet, read by the ε-free Thompson
+//!   automaton of `gdx_nre::nfa` (the one NRE automaton construction of
+//!   the workspace, shared with demand-driven evaluation);
+//! * [`Dfa`] — subset construction over that automaton, completion,
+//!   complement, product, emptiness, shortest accepted word, Moore
+//!   minimization;
 //! * [`included`] / [`equivalent`] — language inclusion and equivalence.
 //!
 //! NREs with nesting tests are outside regular-language territory for the
@@ -28,14 +26,10 @@
 #![forbid(unsafe_code)]
 
 pub mod dfa;
-pub mod eval_nfa;
 pub mod letter;
-pub mod nfa;
 
 pub use dfa::Dfa;
-pub use eval_nfa::EvalNfa;
 pub use letter::Letter;
-pub use nfa::Nfa;
 
 use gdx_common::Result;
 use gdx_nre::Nre;

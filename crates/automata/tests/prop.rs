@@ -1,8 +1,9 @@
 //! Property-based tests for the automata substrate over random test-free
 //! NREs: inclusion laws, witness-word membership, minimization
-//! invariance.
+//! invariance, and agreement of word acceptance with graph evaluation.
 
-use gdx_automata::{included, intersects, letter, Dfa};
+use gdx_automata::{included, intersects, letter, Dfa, Letter};
+use gdx_graph::{Graph, NodeId};
 use gdx_nre::ast::Nre;
 use gdx_nre::witness::{self, EnumConfig, PathStep};
 use proptest::prelude::*;
@@ -33,8 +34,53 @@ fn word_of(w: &witness::Witness) -> Vec<gdx_automata::Letter> {
         .collect()
 }
 
+/// A path graph `n₀ … n_k` spelling `word` from `n₀` to `n_k`: letter
+/// `a` is the edge `(nᵢ, a, nᵢ₊₁)`, letter `a⁻` the edge `(nᵢ₊₁, a, nᵢ)`.
+fn path_spelling(word: &[Letter]) -> (Graph, NodeId, NodeId) {
+    let mut g = Graph::new();
+    let nodes: Vec<NodeId> = (0..=word.len())
+        .map(|i| g.add_const(&format!("n{i}")))
+        .collect();
+    for (i, l) in word.iter().enumerate() {
+        let (src, dst) = if l.inverse {
+            (nodes[i + 1], nodes[i])
+        } else {
+            (nodes[i], nodes[i + 1])
+        };
+        g.add_edge(src, l.symbol, dst);
+    }
+    (g, nodes[0], nodes[word.len()])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A word the DFA accepts labels a walk of the path graph spelling it,
+    /// so its endpoints are related by `⟦r⟧`. Without inverse letters the
+    /// chain is the only walk from `n₀` to `n_k`, so the converse holds
+    /// too (a two-way walk can spell other words).
+    #[test]
+    fn word_acceptance_agrees_with_path_evaluation(
+        r in arb_nre(),
+        picks in proptest::collection::vec(0usize..64, 0..6),
+    ) {
+        let ab = letter::joint_alphabet(&[&r]);
+        let word: Vec<Letter> = if ab.is_empty() {
+            Vec::new()
+        } else {
+            picks.iter().map(|&i| ab[i % ab.len()]).collect()
+        };
+        let dfa = Dfa::from_nre(&r, &ab).unwrap();
+        let (g, first, last) = path_spelling(&word);
+        let related = gdx_nre::eval::eval(&g, &r).contains(first, last);
+        let accepted = dfa.accepts(&word);
+        if accepted {
+            prop_assert!(related, "{} accepts {:?}", r, word);
+        }
+        if ab.iter().all(|l| !l.inverse) {
+            prop_assert_eq!(accepted, related, "{} on {:?}", r, word);
+        }
+    }
 
     /// Inclusion is reflexive.
     #[test]

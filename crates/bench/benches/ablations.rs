@@ -8,7 +8,7 @@ use gdx_chase::{chase_egds_on_pattern, chase_st, EgdChaseConfig, StChaseVariant}
 use gdx_datagen::{flights_hotels, random_3cnf, rng, FlightsHotelsParams};
 use gdx_exchange::reduction::{Reduction, ReductionFlavor};
 use gdx_mapping::Setting;
-use gdx_sat::{solve, SolverConfig as SatConfig};
+use gdx_sat::{solve, SolverConfig};
 
 fn bench_ablations(c: &mut Criterion) {
     let setting = Setting::example_2_2_egd();
@@ -70,13 +70,13 @@ fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("dpll_heuristics");
     group.sample_size(10);
     for (name, cfg) in [
-        ("full", SatConfig::default()),
+        ("full", SolverConfig::default()),
         (
             "bare",
-            SatConfig {
+            SolverConfig {
                 pure_literal: false,
                 frequency_heuristic: false,
-                ..SatConfig::default()
+                ..SolverConfig::default()
             },
         ),
     ] {

@@ -149,8 +149,8 @@ fn session_reuse_rows(rows: &mut Vec<Row>) {
         ("c3", "c3"),
     ];
     for (name, nre) in &queries {
-        // Cold baseline: a fresh session per query — exactly what the
-        // deprecated one-shot functions do under the hood.
+        // Cold baseline: a fresh session per query, so every query
+        // re-chases and re-enumerates the solution family.
         let cold_per_query = median_ns(3, || {
             for (a, b) in pairs {
                 let verdict = ExchangeSession::new(setting.clone(), instance.clone())

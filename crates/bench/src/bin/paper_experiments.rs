@@ -506,7 +506,7 @@ fn t5_ablations() {
     println!("-- T5 (B5): ablations --");
     use gdx_chase::{chase_egds_on_pattern, chase_st, EgdChaseConfig, StChaseVariant};
     use gdx_datagen::{flights_hotels, rng, FlightsHotelsParams};
-    use gdx_sat::{solve, SatConfig};
+    use gdx_sat::{solve, SolverConfig};
     use std::time::Instant;
 
     // (i) oblivious vs restricted s-t chase.
@@ -568,15 +568,15 @@ fn t5_ablations() {
     // (iii) DPLL heuristics on a hard random formula.
     let f = gdx_datagen::random_3cnf(40, 172, &mut rng(13));
     let t = Instant::now();
-    let (_, stats_on) = solve(&f, SatConfig::default());
+    let (_, stats_on) = solve(&f, SolverConfig::default());
     let on_us = t.elapsed().as_micros();
     let t = Instant::now();
     let (_, stats_off) = solve(
         &f,
-        SatConfig {
+        SolverConfig {
             pure_literal: false,
             frequency_heuristic: false,
-            ..SatConfig::default()
+            ..SolverConfig::default()
         },
     );
     let off_us = t.elapsed().as_micros();

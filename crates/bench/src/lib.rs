@@ -15,7 +15,7 @@ use gdx_exchange::{encode, CertainAnswer, ExchangeSession, Existence, Options};
 use gdx_mapping::Setting;
 use gdx_pattern::InstantiationConfig;
 use gdx_relational::Instance;
-use gdx_sat::{solve, SatConfig, SatResult};
+use gdx_sat::{solve, SatResult, SolverConfig};
 use std::time::Instant;
 
 /// The paper's query from Example 2.2 — the NRE the demand-driven bench
@@ -96,7 +96,7 @@ pub fn exists_sweep(
             for seed in 0..seeds {
                 let mut r = rng(seed * 7919 + n as u64 * 31 + (ratio * 100.0) as u64);
                 let cnf = random_3cnf(n, m, &mut r);
-                let (sat_res, _) = solve(&cnf, SatConfig::default());
+                let (sat_res, _) = solve(&cnf, SolverConfig::default());
                 let satisfiable = sat_res.is_sat();
 
                 let red = Reduction::from_cnf(&cnf, ReductionFlavor::Egd).expect("3-CNF reduction");
@@ -174,7 +174,7 @@ pub fn certain_sweep(ns: &[u32], ratios: &[f64], seeds: u64) -> Vec<CertainRow> 
             for seed in 0..seeds {
                 let mut r = rng(seed * 104729 + n as u64 * 13 + (ratio * 100.0) as u64);
                 let cnf = random_3cnf(n, m, &mut r);
-                let (sat_res, _) = solve(&cnf, SatConfig::default());
+                let (sat_res, _) = solve(&cnf, SolverConfig::default());
                 let unsat = matches!(sat_res, SatResult::Unsat);
                 let red = Reduction::from_cnf(&cnf, ReductionFlavor::Egd).expect("3-CNF reduction");
                 let t = Instant::now();

@@ -94,6 +94,7 @@ impl Symbol {
             | si as u32;
         g.strings.push(leaked);
         g.map.insert(leaked, id);
+        drop(g);
         Symbol(id)
     }
 

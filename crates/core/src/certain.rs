@@ -18,19 +18,11 @@
 //! [`certain_pair`][crate::ExchangeSession::certain_pair],
 //! [`certain_answers`][crate::ExchangeSession::certain_answers]) so the
 //! enumerated family, the chased representative, and per-solution
-//! evaluation caches are shared across queries. The free functions here
-//! are deprecated one-shot wrappers over a throwaway session.
+//! evaluation caches are shared across queries.
 //!
 //! [`certain`]: crate::ExchangeSession::certain
 
-use crate::options::Options;
-use crate::session::ExchangeSession;
-use gdx_common::Result;
-use gdx_graph::{Graph, Node};
-use gdx_mapping::Setting;
-use gdx_nre::Nre;
-use gdx_query::{Cnre, PreparedQuery};
-use gdx_relational::Instance;
+use gdx_graph::Graph;
 
 /// Outcome of a certain-answer test.
 // The counterexample graph *is* the evidence callers want; boxing it
@@ -53,60 +45,17 @@ impl CertainAnswer {
     }
 }
 
-/// Is `(c1, c2)` a certain answer of the single-NRE query `r`?
-/// (The shape of the paper's query answering problem.)
-#[deprecated(
-    note = "use `ExchangeSession::certain_pair` — a session shares the enumerated \
-                     solution family across queries"
-)]
-pub fn certain_pair(
-    instance: &Instance,
-    setting: &Setting,
-    r: &Nre,
-    c1: &str,
-    c2: &str,
-    cfg: &Options,
-) -> Result<CertainAnswer> {
-    ExchangeSession::new(setting.clone(), instance.clone())
-        .with_options(*cfg)
-        .certain_pair(r, c1, c2)
-}
-
-/// Is the Boolean (constants-only) CNRE query certain?
-#[deprecated(note = "use `ExchangeSession::certain` with a `PreparedQuery`")]
-pub fn certain_boolean(
-    instance: &Instance,
-    setting: &Setting,
-    query: &Cnre,
-    cfg: &Options,
-) -> Result<CertainAnswer> {
-    ExchangeSession::new(setting.clone(), instance.clone())
-        .with_options(*cfg)
-        .certain(&PreparedQuery::new(query.clone()))
-}
-
-/// The full certain-answer *set* of a query over constants appearing in
-/// the enumerated solutions: the intersection of constant-only answer
-/// rows. Returns `(rows, exact)`; with `exact == false` the set is an
-/// over-approximation restricted to the bounded family.
-#[deprecated(note = "use `ExchangeSession::certain_answers` with a `PreparedQuery`")]
-pub fn certain_answers(
-    instance: &Instance,
-    setting: &Setting,
-    query: &Cnre,
-    cfg: &Options,
-) -> Result<(Vec<Vec<Node>>, bool)> {
-    ExchangeSession::new(setting.clone(), instance.clone())
-        .with_options(*cfg)
-        .certain_answers(&PreparedQuery::new(query.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::Options;
     use crate::reduction::{Reduction, ReductionFlavor};
+    use crate::session::ExchangeSession;
     use gdx_common::Term;
+    use gdx_mapping::Setting;
     use gdx_nre::parse::parse_nre;
+    use gdx_query::PreparedQuery;
+    use gdx_relational::Instance;
     use gdx_sat::{Cnf, Lit};
 
     fn session(instance: &Instance, setting: &Setting) -> ExchangeSession {
@@ -245,39 +194,5 @@ mod tests {
         let q = PreparedQuery::parse("(x, f, y)").unwrap();
         let r = session(&Instance::example_2_2(), &Setting::example_2_2_egd()).certain(&q);
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn deprecated_wrappers_still_delegate() {
-        #![allow(deprecated)]
-        let cfg = Options::default();
-        let ans = certain_pair(
-            &Instance::example_2_2(),
-            &Setting::example_2_2_egd(),
-            &parse_nre("f.f*").unwrap(),
-            "c1",
-            "c2",
-            &cfg,
-        )
-        .unwrap();
-        assert!(ans.is_certain());
-        let q = Cnre::parse("(x, f.f*, y)").unwrap();
-        let (rows, _) = certain_answers(
-            &Instance::example_2_2(),
-            &Setting::example_2_2_egd(),
-            &q,
-            &cfg,
-        )
-        .unwrap();
-        assert!(!rows.is_empty());
-        let boolean = Cnre::parse("(\"c1\", f.f*, \"c2\")").unwrap();
-        assert!(certain_boolean(
-            &Instance::example_2_2(),
-            &Setting::example_2_2_egd(),
-            &boolean,
-            &cfg
-        )
-        .unwrap()
-        .is_certain());
     }
 }

@@ -29,7 +29,7 @@ use gdx_nre::classify::{single_word, union_of_symbols};
 use gdx_nre::Nre;
 use gdx_pattern::PNodeId;
 use gdx_relational::Instance;
-use gdx_sat::{solve, Cnf, Lit, SatResult, SolverConfig as SatConfig};
+use gdx_sat::{solve, Cnf, Lit, SatResult, SolverConfig};
 
 /// A potential edge of the decoded graph.
 type PotEdge = (PNodeId, Symbol, PNodeId);
@@ -209,7 +209,7 @@ pub fn decode(enc: &Encoding, model: &[bool]) -> Graph {
 /// the SAT backend ([`crate::ExchangeSession::solution_exists_sat`]
 /// memoizes the encoding and calls this).
 pub fn solve_encoding(enc: &Encoding) -> Result<Existence> {
-    let (res, _stats) = solve(&enc.cnf, SatConfig::default());
+    let (res, _stats) = solve(&enc.cnf, SolverConfig::default());
     Ok(match res {
         SatResult::Sat(model) => Existence::Exists(decode(enc, &model)),
         SatResult::Unsat => Existence::NoSolution,

@@ -22,15 +22,12 @@
 //!
 //! The search itself lives in [`crate::session`]: candidates stream out of
 //! [`crate::ExchangeSession::solutions`] lazily, so existence stops at the
-//! first verified witness. The free functions here are deprecated one-shot
-//! wrappers over a throwaway session. This module keeps the shared
-//! machinery: the [`Existence`] outcome, the exact-fragment test, and the
+//! first verified witness. This module keeps the shared machinery: the [`Existence`] outcome, the exact-fragment test, and the
 //! concrete-graph egd repair used both by the solver and by callers
 //! patching graphs by hand.
 
 use crate::options::Options;
-use crate::session::ExchangeSession;
-use gdx_chase::{chase_st, chase_target_tgds, saturate_same_as, EgdChaseOutcome, StChaseVariant};
+use gdx_chase::{chase_st, chase_target_tgds, saturate_same_as, StChaseVariant};
 use gdx_common::{GdxError, Result};
 use gdx_graph::{Graph, NodeId};
 use gdx_mapping::{Egd, Setting};
@@ -38,13 +35,6 @@ use gdx_nre::eval::EvalCache;
 use gdx_nre::Nre;
 use gdx_query::PreparedQuery;
 use gdx_relational::Instance;
-
-/// The former name of [`Options`], kept so downstream code compiles.
-#[deprecated(
-    note = "renamed to `gdx_exchange::Options` (the sat solver's config is re-exported \
-                     as `gdx_sat::SatConfig`)"
-)]
-pub type SolverConfig = Options;
 
 /// Outcome of the existence decision.
 // The witness graph *is* the payload of the variant; boxing it would
@@ -73,49 +63,6 @@ impl Existence {
             _ => None,
         }
     }
-}
-
-/// Decides whether `Sol_Ω(I) ≠ ∅`.
-#[deprecated(
-    note = "use `ExchangeSession::solution_exists` — a session reuses the chased \
-                     representative and engine caches across calls"
-)]
-pub fn solution_exists(instance: &Instance, setting: &Setting, cfg: &Options) -> Result<Existence> {
-    ExchangeSession::new(setting.clone(), instance.clone())
-        .with_options(*cfg)
-        .solution_exists()
-}
-
-/// Enumerates verified solutions from the canonical candidate family.
-///
-/// Returns `(solutions, exact)`. When `exact` is true the family provably
-/// covers all homomorphism-minimal solutions, so:
-/// * an empty list proves `Sol_Ω(I) = ∅`;
-/// * for a positive query, a tuple is a certain answer iff it is an answer
-///   in *every* listed solution.
-///
-/// With `first_only`, stops at the first verified solution.
-#[deprecated(
-    note = "use `ExchangeSession::solutions` — the session streams verified solutions \
-                     lazily instead of materializing the whole family"
-)]
-pub fn enumerate_minimal_solutions(
-    instance: &Instance,
-    setting: &Setting,
-    cfg: &Options,
-    first_only: bool,
-) -> Result<(Vec<Graph>, bool)> {
-    let mut session = ExchangeSession::new(setting.clone(), instance.clone()).with_options(*cfg);
-    let mut stream = session.solutions()?;
-    let mut out = Vec::new();
-    for g in &mut stream {
-        out.push(g?);
-        if first_only {
-            break;
-        }
-    }
-    let exact = stream.exact();
-    Ok((out, exact))
 }
 
 /// The fragment where the candidate family is provably complete: egds with
@@ -312,35 +259,6 @@ pub fn construct_solution_no_egds(
         }
     }
     Ok(g)
-}
-
-/// Exposes the chased pattern for inspection (and for the representative
-/// module).
-#[deprecated(
-    note = "use `ExchangeSession::representative` — the session memoizes the chased \
-                     pattern across calls"
-)]
-pub fn chased_pattern(
-    instance: &Instance,
-    setting: &Setting,
-    cfg: &Options,
-) -> Result<EgdChaseOutcome> {
-    use crate::representative::RepresentativeOutcome;
-    let mut session = ExchangeSession::new(setting.clone(), instance.clone()).with_options(*cfg);
-    Ok(match session.representative()? {
-        RepresentativeOutcome::Representative(rep) => EgdChaseOutcome::Success {
-            pattern: rep.pattern.clone(),
-            merges: session.representative_merges(),
-        },
-        RepresentativeOutcome::ChaseFailed => {
-            // A ChaseFailed outcome always records the clashing pair.
-            #[allow(clippy::expect_used)]
-            let (constants, merges) = session
-                .representative_failure()
-                .expect("ChaseFailed records its clash");
-            EgdChaseOutcome::Failed { constants, merges }
-        }
-    })
 }
 
 #[cfg(test)]
@@ -543,20 +461,5 @@ mod tests {
         let inst = Instance::parse(schema, "R(a, b); R(b, c);").unwrap();
         let ex = session(&inst, &setting).solution_exists().unwrap();
         assert!(ex.exists());
-    }
-
-    #[test]
-    fn deprecated_wrappers_still_delegate() {
-        // The compatibility surface: old one-shot functions answer exactly
-        // like a fresh session.
-        #![allow(deprecated)]
-        let inst = Instance::example_2_2();
-        let setting = Setting::example_2_2_egd();
-        let cfg = Options::default();
-        let ex = solution_exists(&inst, &setting, &cfg).unwrap();
-        assert!(ex.exists());
-        let (sols, _exact) = enumerate_minimal_solutions(&inst, &setting, &cfg, false).unwrap();
-        assert!(!sols.is_empty());
-        assert!(chased_pattern(&inst, &setting, &cfg).unwrap().succeeded());
     }
 }

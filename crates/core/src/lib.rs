@@ -29,8 +29,7 @@
 //! [`certain_pair`][ExchangeSession::certain_pair] /
 //! [`certain_answers`][ExchangeSession::certain_answers],
 //! [`representative`][ExchangeSession::representative]). Every method
-//! observes the session's [`Options`]. The per-module free functions are
-//! deprecated one-shot wrappers kept for downstream code.
+//! observes the session's [`Options`].
 //!
 //! Supporting modules:
 //!
@@ -58,85 +57,11 @@ pub mod representative;
 pub mod session;
 pub mod solution;
 
-#[allow(deprecated)]
-pub use certain::certain_pair;
 pub use certain::CertainAnswer;
 pub use exists::Existence;
-#[allow(deprecated)]
-pub use exists::{enumerate_minimal_solutions, solution_exists, SolverConfig};
 pub use gdx_runtime::{Runtime, Threads};
 pub use options::Options;
 pub use reduction::Reduction;
 pub use representative::UniversalRepresentative;
 pub use session::{ExchangeSession, SolutionStream};
 pub use solution::{is_solution, SolutionChecker};
-
-/// Facade bundling an instance with a setting, exposing the main
-/// operations with shared defaults.
-///
-/// Superseded by [`ExchangeSession`]: the facade is stateless, so every
-/// call re-chases and re-plans from cold state. It is kept (deprecated)
-/// because its `&self` methods and public fields are part of the old API.
-#[deprecated(
-    note = "use `ExchangeSession`, which memoizes the representative, the solution \
-                     family, and the engine caches across calls"
-)]
-#[derive(Debug, Clone)]
-pub struct Exchange {
-    /// The data exchange setting `Ω`.
-    pub setting: gdx_mapping::Setting,
-    /// The source instance `I`.
-    pub instance: gdx_relational::Instance,
-    /// Solver bounds.
-    pub config: Options,
-}
-
-#[allow(deprecated)]
-impl Exchange {
-    /// Creates a facade with default solver bounds.
-    pub fn new(setting: gdx_mapping::Setting, instance: gdx_relational::Instance) -> Exchange {
-        Exchange {
-            setting,
-            instance,
-            config: Options::default(),
-        }
-    }
-
-    /// A session over the same pair — the migration path.
-    pub fn into_session(self) -> ExchangeSession {
-        ExchangeSession::new(self.setting, self.instance).with_options(self.config)
-    }
-
-    fn session(&self) -> ExchangeSession {
-        ExchangeSession::new(self.setting.clone(), self.instance.clone()).with_options(self.config)
-    }
-
-    /// `G ∈ Sol_Ω(I)`?
-    pub fn is_solution(&self, graph: &gdx_graph::Graph) -> gdx_common::Result<bool> {
-        self.session().is_solution(graph)
-    }
-
-    /// Decides existence of solutions.
-    pub fn solution_exists(&self) -> gdx_common::Result<Existence> {
-        self.session().solution_exists()
-    }
-
-    /// The chased universal representative `(pattern, constraints)`.
-    pub fn universal_representative(
-        &self,
-    ) -> gdx_common::Result<representative::RepresentativeOutcome> {
-        let mut s = self.session();
-        let outcome = s.representative()?.clone();
-        Ok(outcome)
-    }
-
-    /// Is `(c1, c2)` a certain answer of the single-NRE query `r`?
-    pub fn certain_pair(
-        &self,
-        r: &gdx_nre::Nre,
-        c1: &str,
-        c2: &str,
-    ) -> gdx_common::Result<CertainAnswer> {
-        self.session().certain_pair(r, c1, c2)
-    }
-}

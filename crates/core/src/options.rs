@@ -12,8 +12,7 @@ use gdx_query::PlannerMode;
 use gdx_runtime::{Runtime, Threads};
 
 /// Solver and evaluation knobs shared by every [`crate::ExchangeSession`]
-/// entry point (and, via the deprecated free-function wrappers, the
-/// one-shot API).
+/// entry point.
 ///
 /// The default value reproduces the historical `SolverConfig::default()`
 /// behaviour exactly: bounded candidate search, automatic access-path

@@ -18,9 +18,8 @@
 use crate::options::Options;
 use gdx_common::Result;
 use gdx_graph::Graph;
-use gdx_mapping::{Setting, TargetConstraint};
+use gdx_mapping::TargetConstraint;
 use gdx_pattern::{represents, GraphPattern};
-use gdx_relational::Instance;
 
 /// The pair `(pattern, target constraints)` of Section 5.
 #[derive(Debug, Clone)]
@@ -58,7 +57,7 @@ impl UniversalRepresentative {
     /// in **every** represented graph, hence in every solution.
     /// Completeness is not attempted: entailment through nesting tests
     /// falls back to syntactic equality, and longer paths than the bound
-    /// are not explored. Use [`crate::certain::certain_answers`] for the
+    /// are not explored. Use [`crate::ExchangeSession::certain_answers`] for the
     /// (bounded-complete) enumeration-based computation.
     pub fn certain_answer_lower_bound(
         &self,
@@ -101,7 +100,7 @@ impl UniversalRepresentative {
 }
 
 /// Internal view used to evaluate a constraint list without a full
-/// [`Setting`].
+/// [`gdx_mapping::Setting`].
 struct SettingView<'a> {
     constraints: &'a [TargetConstraint],
 }
@@ -159,24 +158,12 @@ impl SettingView<'_> {
     }
 }
 
-/// Runs the adapted chase (s-t phase + egd phase) and packages the result
-/// as a `(pattern, constraints)` representative.
-#[deprecated(note = "use `ExchangeSession::representative` — the session memoizes the chase")]
-pub fn chase_representative(
-    instance: &Instance,
-    setting: &Setting,
-    cfg: &Options,
-) -> Result<RepresentativeOutcome> {
-    let mut session =
-        crate::session::ExchangeSession::new(setting.clone(), instance.clone()).with_options(*cfg);
-    let outcome = session.representative()?.clone();
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::ExchangeSession;
+    use gdx_mapping::Setting;
+    use gdx_relational::Instance;
 
     fn rep_of(instance: &Instance, setting: &Setting) -> RepresentativeOutcome {
         ExchangeSession::new(setting.clone(), instance.clone())

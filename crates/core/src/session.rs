@@ -928,10 +928,9 @@ impl SolutionStream<'_> {
         }
     }
 
-    /// The ported candidate loop of the bounded search (formerly
-    /// `enumerate_minimal_solutions`): pull one candidate at a time,
-    /// enforce the three constraint kinds to a joint fixpoint, verify, and
-    /// yield. The enforcement engines live on the session and persist
+    /// The candidate loop of the bounded search: pull one candidate at a
+    /// time, enforce the three constraint kinds to a joint fixpoint,
+    /// verify, and yield. The enforcement engines live on the session and persist
     /// across candidates *and* streams: within a candidate they mutate the
     /// graph in place, so their delta caches survive the fixpoint rounds;
     /// switching candidates — or an egd quotient replacing the graph

@@ -12,14 +12,12 @@
 //!
 //! # The guarded automaton
 //!
-//! The test-free fragment compiles to an ordinary ε-free NFA over directed
-//! letters — the same construction as `gdx_automata::EvalNfa` (that crate
-//! sits *above* this one in the dependency graph, so the few lines of
-//! Thompson construction are repeated here rather than imported). Nesting
-//! tests `[t]` become **guard transitions**: ε-like edges that fire at a
-//! graph node `u` only when `∃v. (u, v) ∈ ⟦t⟧` — decided on demand by a
-//! recursive, seeded sub-evaluation of `t` from exactly `u`, memoized per
-//! node. Backward runs ([`DemandEvaluator::preimage`]) use the automaton
+//! `r` compiles to the ε-free Thompson automaton of [`crate::nfa`] — the
+//! same automaton `gdx_automata` determinizes for inclusion checks. Its
+//! **guard transitions** (nesting tests `[t]`) fire at a graph node `u`
+//! only when `∃v. (u, v) ∈ ⟦t⟧` — decided on demand by a recursive,
+//! seeded sub-evaluation of `t` from exactly `u`, memoized per node.
+//! Backward runs ([`DemandEvaluator::preimage`]) use the automaton
 //! of the reversed expression ([`Nre::reversed`]), under which guards stay
 //! in place as node predicates.
 //!
@@ -45,174 +43,17 @@
 
 use crate::ast::Nre;
 use crate::eval::{eval, BinRel};
-use gdx_common::{FxHashMap, FxHashSet, GdxError, Result, ScratchBits, Symbol};
+use crate::nfa::{Action, Nfa, State};
+use gdx_common::{FxHashMap, FxHashSet, GdxError, Result, ScratchBits};
 use gdx_graph::{FrozenGraph, Graph, GraphId, NodeId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Automaton state id (dense).
-type State = u32;
-
 /// Automata larger than this fall back to materializing evaluation: a
 /// giant expression amortizes bottom-up evaluation across its shared
 /// subterms better than a per-seed product walk would.
 pub const MAX_STATES: usize = 4096;
-
-/// One transition action of the guarded automaton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum Action {
-    /// Traverse one `a`-edge forward.
-    Fwd(Symbol),
-    /// Traverse one `a`-edge backward.
-    Bwd(Symbol),
-    /// Stay in place; fires only when the guard predicate holds at the
-    /// current node (index into [`DemandAutomata::guards`]).
-    Guard(u32),
-}
-
-/// A dense, ε-free NFA over graph-traversal actions, with guard
-/// transitions for nesting tests. Targets are pre-closed under ε.
-#[derive(Debug)]
-struct GuardedNfa {
-    /// ε-closure of the start state.
-    start: Vec<State>,
-    /// Per-state acceptance.
-    accept: Vec<bool>,
-    /// Per-state transitions, targets ε-closed, sorted, deduplicated.
-    trans: Vec<Vec<(Action, Vec<State>)>>,
-}
-
-/// Thompson-style builder with explicit ε-edges, eliminated at the end.
-#[derive(Default)]
-struct Builder {
-    eps: Vec<Vec<State>>,
-    trans: Vec<Vec<(Action, State)>>,
-    guards: Vec<Nre>,
-    guard_ids: FxHashMap<Nre, u32>,
-}
-
-impl Builder {
-    fn add_state(&mut self) -> State {
-        let id = self.eps.len() as State;
-        self.eps.push(Vec::new());
-        self.trans.push(Vec::new());
-        id
-    }
-
-    fn build(&mut self, r: &Nre) -> (State, State) {
-        match r {
-            Nre::Epsilon => {
-                let (s, f) = (self.add_state(), self.add_state());
-                self.eps[s as usize].push(f);
-                (s, f)
-            }
-            Nre::Label(a) => {
-                let (s, f) = (self.add_state(), self.add_state());
-                self.trans[s as usize].push((Action::Fwd(*a), f));
-                (s, f)
-            }
-            Nre::Inverse(a) => {
-                let (s, f) = (self.add_state(), self.add_state());
-                self.trans[s as usize].push((Action::Bwd(*a), f));
-                (s, f)
-            }
-            Nre::Union(x, y) => {
-                let (sx, fx) = self.build(x);
-                let (sy, fy) = self.build(y);
-                let (s, f) = (self.add_state(), self.add_state());
-                self.eps[s as usize].extend([sx, sy]);
-                self.eps[fx as usize].push(f);
-                self.eps[fy as usize].push(f);
-                (s, f)
-            }
-            Nre::Concat(x, y) => {
-                let (sx, fx) = self.build(x);
-                let (sy, fy) = self.build(y);
-                self.eps[fx as usize].push(sy);
-                (sx, fy)
-            }
-            Nre::Star(x) => {
-                let (sx, fx) = self.build(x);
-                let (s, f) = (self.add_state(), self.add_state());
-                self.eps[s as usize].extend([sx, f]);
-                self.eps[fx as usize].extend([sx, f]);
-                (s, f)
-            }
-            Nre::Test(x) => {
-                let gi = match self.guard_ids.get(x.as_ref()) {
-                    Some(&gi) => gi,
-                    None => {
-                        let gi = self.guards.len() as u32;
-                        self.guards.push((**x).clone());
-                        self.guard_ids.insert((**x).clone(), gi);
-                        gi
-                    }
-                };
-                let (s, f) = (self.add_state(), self.add_state());
-                self.trans[s as usize].push((Action::Guard(gi), f));
-                (s, f)
-            }
-        }
-    }
-
-    /// ε-closure of one state, as a sorted id list.
-    fn closure(&self, s: State) -> Vec<State> {
-        let mut seen: FxHashSet<State> = FxHashSet::default();
-        let mut stack = vec![s];
-        seen.insert(s);
-        while let Some(q) = stack.pop() {
-            for &t in &self.eps[q as usize] {
-                if seen.insert(t) {
-                    stack.push(t);
-                }
-            }
-        }
-        let mut v: Vec<State> = seen.into_iter().collect();
-        v.sort_unstable();
-        v
-    }
-}
-
-impl GuardedNfa {
-    /// Compiles `r`, failing when the automaton exceeds [`MAX_STATES`].
-    /// Also returns the test subexpressions its [`Action::Guard`] ids
-    /// index.
-    fn compile(r: &Nre) -> Result<(GuardedNfa, Vec<Nre>)> {
-        let mut b = Builder::default();
-        let (start, accept) = b.build(r);
-        let n = b.eps.len();
-        if n > MAX_STATES {
-            return Err(GdxError::limit(format!(
-                "NRE compiles to {n} automaton states (> {MAX_STATES}); \
-                 demand evaluation falls back to materialization"
-            )));
-        }
-        let mut trans: Vec<Vec<(Action, Vec<State>)>> = Vec::with_capacity(n);
-        for s in 0..n {
-            let mut by_action: FxHashMap<Action, Vec<State>> = FxHashMap::default();
-            for &(action, t) in &b.trans[s] {
-                by_action.entry(action).or_default().extend(b.closure(t));
-            }
-            let mut row: Vec<(Action, Vec<State>)> = by_action.into_iter().collect();
-            for (_, targets) in &mut row {
-                targets.sort_unstable();
-                targets.dedup();
-            }
-            // Deterministic transition order (hash-map iteration is not).
-            row.sort_by_key(|(a, _)| *a);
-            trans.push(row);
-        }
-        let mut accept_flags = vec![false; n];
-        accept_flags[accept as usize] = true;
-        let nfa = GuardedNfa {
-            start: b.closure(start),
-            accept: accept_flags,
-            trans,
-        };
-        Ok((nfa, b.guards))
-    }
-}
 
 /// Work counters of a [`DemandEvaluator`] — cumulative across calls.
 #[derive(Debug, Clone, Copy, Default)]
@@ -287,8 +128,8 @@ enum BfsStop {
 /// caches turn it into evaluators that carry the memo state.
 #[derive(Debug)]
 pub struct DemandAutomata {
-    fwd: GuardedNfa,
-    bwd: GuardedNfa,
+    fwd: Nfa,
+    bwd: Nfa,
     /// Compiled nesting tests, indexed by [`Action::Guard`] ids of both
     /// automata (guards are direction-independent, so one list serves
     /// both).
@@ -302,8 +143,16 @@ impl DemandAutomata {
     /// the materializing evaluator instead of discovering an uncompilable
     /// guard mid-run.
     pub fn compile(r: &Nre) -> Result<Arc<DemandAutomata>> {
-        let (fwd, mut tests) = GuardedNfa::compile(r)?;
-        let (mut bwd, bwd_tests) = GuardedNfa::compile(&r.reversed())?;
+        let (fwd, mut tests) = Nfa::compile(r);
+        let n = fwd.state_count();
+        if n > MAX_STATES {
+            return Err(GdxError::limit(format!(
+                "NRE compiles to {n} automaton states (> {MAX_STATES}); \
+                 demand evaluation falls back to materialization"
+            )));
+        }
+        // `rev(r)` has the same shape as `r`, hence the same state count.
+        let (mut bwd, bwd_tests) = Nfa::compile(&r.reversed());
         // One guard list for both directions: forward ids stay, backward
         // ids are renumbered onto it. (Transition order is left as
         // compiled, so exploration order does not change.)

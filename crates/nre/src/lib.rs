@@ -22,6 +22,9 @@
 //!   restrictions under which the paper's hardness results already hold;
 //! * [`mod@eval`] — `⟦r⟧_G` by bottom-up relational evaluation with BFS-based
 //!   Kleene closure, plus single-source variants;
+//! * [`nfa`] — the ε-free Thompson automaton of an NRE (nesting tests as
+//!   guard transitions), shared by demand evaluation and the DFA-based
+//!   inclusion checks of `gdx-automata`;
 //! * [`demand`] — demand-driven evaluation: product-automaton BFS from
 //!   seeded endpoints only ([`demand::eval_from`] / [`demand::eval_into`]),
 //!   with nesting tests decided by recursive seeded sub-evaluation;
@@ -40,6 +43,7 @@ pub mod classify;
 pub mod demand;
 pub mod eval;
 pub mod incremental;
+pub mod nfa;
 pub mod parse;
 pub mod simplify;
 pub mod witness;

@@ -109,9 +109,11 @@ impl Registry {
 
     /// Add `delta` to the counter `name` (created at zero on first use).
     pub fn add(&self, name: &'static str, delta: u64) {
-        let mut g = self.lock();
-        let slot = g.counters.entry(name).or_insert(0);
-        *slot = slot.saturating_add(delta);
+        self.lock()
+            .counters
+            .entry(name)
+            .and_modify(|c| *c = c.saturating_add(delta))
+            .or_insert(delta);
     }
 
     /// Set the gauge `name` to `value` (last write wins).

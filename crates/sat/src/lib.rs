@@ -23,8 +23,3 @@ pub mod solver;
 
 pub use cnf::{Clause, Cnf, Lit, Var};
 pub use solver::{brute_force, solve, SatResult, SolverConfig, SolverStats};
-
-/// Alias de-conflicting this crate's [`SolverConfig`] from the exchange
-/// solver's former `SolverConfig` (now `gdx_exchange::Options`): import
-/// `SatConfig` wherever both crates are in scope.
-pub use solver::SolverConfig as SatConfig;

@@ -132,6 +132,7 @@ impl SessionPool {
         inner.lru.push_back(key.clone());
         self.obs
             .gauge_set("server.pool.sessions", inner.map.len() as u64);
+        drop(inner);
         Ok(session)
     }
 

@@ -43,8 +43,6 @@ pub use gdx_sat as sat;
 pub mod prelude {
     pub use gdx_common::{GdxError, Result, Symbol};
     pub use gdx_exchange::{CertainAnswer, ExchangeSession, Existence, Options};
-    #[allow(deprecated)]
-    pub use gdx_exchange::{Exchange, SolverConfig};
     pub use gdx_graph::{Graph, Node};
     pub use gdx_mapping::{Setting, SourceToTargetTgd, TargetConstraint};
     pub use gdx_nre::Nre;

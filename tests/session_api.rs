@@ -158,17 +158,3 @@ fn representative_memo_survives_across_the_whole_workload() {
         RepresentativeOutcome::ChaseFailed => panic!("chase succeeds"),
     }
 }
-
-#[test]
-fn deprecated_exchange_facade_still_works() {
-    // The compatibility shim: old code written against `Exchange` keeps
-    // compiling and answering.
-    #![allow(deprecated)]
-    let ex = Exchange::new(Setting::example_2_2_egd(), Instance::example_2_2());
-    assert!(ex.solution_exists().unwrap().exists());
-    let g1 =
-        Graph::parse("(c1, f, _N); (c3, f, _N); (_N, f, c2); (_N, h, hx); (_N, h, hy);").unwrap();
-    assert!(ex.is_solution(&g1).unwrap());
-    let mut session = ex.into_session();
-    assert!(session.solution_exists().unwrap().exists());
-}
