@@ -17,9 +17,17 @@
 //! `(u, r₁, ·) … (·, r_m, v)` (each traversable forward or, optionally,
 //! backward with the reversed NRE) entails `(u, s, v)` when
 //! `L(r₁·…·r_m) ⊆ L(s)` — decided by automata inclusion on test-free NREs.
-//! Sequences are bounded by `path_bound`. NREs with nesting tests fall back
-//! to single-edge syntactic equality (exact on the paper's SORE(·) egds,
-//! which are test-free anyway).
+//! Sequences are bounded by `path_bound`. A target accepts the empty path
+//! (and so relates every node to itself) only when no nesting test is on
+//! that path.
+//!
+//! Nesting tests are handled before matching, by the caller: the
+//! certain-answer lower bound (`gdx_exchange::representative`) lifts
+//! every test at the top level of a concatenation into an atom of its
+//! own, so the atoms reaching this module carry tests only under a star
+//! or a union. For those, and for pattern edges with tests, entailment
+//! falls back to single-edge syntactic equality (sound, incomplete; exact
+//! on the paper's SORE(·) egds, which are test-free anyway).
 
 use gdx_automata::included;
 use gdx_common::{FxHashMap, FxHashSet, GdxError, Result, Symbol, Term, UnionFind};
@@ -316,8 +324,9 @@ impl EntailmentIndex {
     ) -> Result<&BinRel> {
         if !self.by_target.contains_key(target) {
             let mut rel = BinRel::new();
-            // Length 0: ε ∈ L(target) relates every node to itself.
-            if target.nullable() {
+            // Length 0: a target that accepts the empty path with no
+            // test to pass relates every node to itself.
+            if accepts_empty_path(target) {
                 for id in pattern.node_ids() {
                     rel.insert(id, id);
                 }
@@ -381,8 +390,10 @@ pub fn certain_matches_indexed(
 }
 
 /// `L(r₁·…·r_m) ⊆ L(target)`? Test-free sequences go through the automata
-/// library; anything with a nesting test falls back to single-step
-/// syntactic equality (sound, incomplete).
+/// library. A nesting test left in a target or an edge (one under a star
+/// or a union: top-level tests of a query are lifted into atoms of their
+/// own before matching) falls back to single-step syntactic equality
+/// (sound, incomplete).
 fn sequence_included(seq: &[Nre], target: &Nre) -> Result<bool> {
     let all_test_free = target.is_test_free() && seq.iter().all(Nre::is_test_free);
     if all_test_free {
@@ -390,6 +401,18 @@ fn sequence_included(seq: &[Nre], target: &Nre) -> Result<bool> {
         return included(&concat, target);
     }
     Ok(seq.len() == 1 && &seq[0] == target)
+}
+
+/// Does `r` relate every node to itself in every graph? Like
+/// [`Nre::nullable`], except that a nesting test is a condition on the
+/// node, not an unconditional `ε`.
+fn accepts_empty_path(r: &Nre) -> bool {
+    match r {
+        Nre::Epsilon | Nre::Star(_) => true,
+        Nre::Label(_) | Nre::Inverse(_) | Nre::Test(_) => false,
+        Nre::Union(a, b) => accepts_empty_path(a) || accepts_empty_path(b),
+        Nre::Concat(a, b) => accepts_empty_path(a) && accepts_empty_path(b),
+    }
 }
 
 fn join(
@@ -742,5 +765,20 @@ mod tests {
         let mut cache = FxHashMap::default();
         let ms = certain_matches(&p, &egd.body, EgdChaseConfig::default(), &mut cache).unwrap();
         assert_eq!(ms.len(), 2, "every node matches (x, f*, x)");
+    }
+
+    #[test]
+    fn a_test_is_not_an_unconditional_empty_path() {
+        // `f + [h]` accepts the empty word only through the test, and no
+        // node of the pattern certainly has an h-edge: no node may be
+        // paired with itself. (The f-edge is not matched either: a
+        // target with a test falls back to syntactic equality.)
+        let p = GraphPattern::parse("(a, f, b);").unwrap();
+        let body = gdx_query::Cnre::parse("(x, f + [h], y)").unwrap();
+        let mut cache = FxHashMap::default();
+        let ms = certain_matches(&p, &body, EgdChaseConfig::default(), &mut cache).unwrap();
+        assert!(ms.is_empty(), "nothing is entailed: {ms:?}");
+        assert!(accepts_empty_path(&Nre::label("f").star()));
+        assert!(!accepts_empty_path(&Nre::label("h").test()));
     }
 }

@@ -59,7 +59,7 @@ LINT (workspace invariant checker, see ARCHITECTURE.md):
   gdx-lint -- check`); exits non-zero on violations or stale allows.
 
 SIMULATION (differential fuzzing, see ARCHITECTURE.md):
-  oracles: replay | chase-mode | planner | threads | sat | fork | faults
+  oracles: replay | chase-mode | planner | threads | sat | fork | faults | sandwich
            (default: all). Each seed deterministically generates a
            setting, instance and op trace; failures are auto-shrunk to
            minimal repro files (written to --out DIR when given).
@@ -456,7 +456,7 @@ fn sim_oracles(a: &Args) -> Result<Vec<gdx_sim::Oracle>> {
             .ok_or_else(|| {
                 GdxError::schema(format!(
                     "unknown oracle `{name}` (expected replay | chase-mode | planner | \
-                 threads | sat | fork | faults | all)"
+                 threads | sat | fork | faults | sandwich | all)"
                 ))
             }),
     }

@@ -14,12 +14,28 @@
 //! The paper's proposed fix is the pair *(graph pattern, target
 //! constraints)*: `Sol = {G | π → G and G ⊨ M_t}` — implemented here as
 //! [`UniversalRepresentative`].
+//!
+//! The paper leaves open how to *query* such a pair. This module answers
+//! from below: every solution receives a homomorphism from `π`, so a
+//! query match that every represented graph must contain is a certain
+//! answer ([`UniversalRepresentative::certain_answer_lower_bound`]). The
+//! verified solution family answers from above: the intersection over
+//! any verified subfamily contains the certain answers. The session
+//! returns as soon as the two bounds meet.
 
 use crate::options::Options;
-use gdx_common::Result;
-use gdx_graph::Graph;
+use gdx_chase::egd_pattern::{certain_matches_indexed, EgdChaseConfig, EntailmentIndex};
+use gdx_common::{FxHashMap, FxHashSet, Result, Symbol, Term};
+use gdx_graph::{Graph, Node};
 use gdx_mapping::TargetConstraint;
+use gdx_nre::Nre;
 use gdx_pattern::{represents, GraphPattern};
+use gdx_query::{Cnre, CnreAtom};
+
+/// Smallest path bound of the pattern-level lower bound. The egd chase
+/// keeps its own (smaller) bound, so the representative does not depend
+/// on this one.
+const LOWER_BOUND_PATH_BOUND: usize = 3;
 
 /// The pair `(pattern, target constraints)` of Section 5.
 #[derive(Debug, Clone)]
@@ -51,34 +67,29 @@ impl UniversalRepresentative {
     /// query universal representatives consisting of a pair (graph
     /// pattern, set of target constraints)".
     ///
-    /// A query atom `(x, s, y)` is matched only when a bounded path of
-    /// pattern edges *entails* `s` (language inclusion — the same
-    /// machinery as the egd chase), so every returned constant row holds
-    /// in **every** represented graph, hence in every solution.
-    /// Completeness is not attempted: entailment through nesting tests
-    /// falls back to syntactic equality, and longer paths than the bound
-    /// are not explored. Use [`crate::ExchangeSession::certain_answers`] for the
+    /// Every nesting test at the top level of an atom's concatenation is
+    /// first lifted into an atom of its own over fresh helper variables,
+    /// recursively: `(x, r₁.[t].r₂, y)` becomes
+    /// `(x, r₁, z), (z, t, w), (z, r₂, y)`, and a test at either end binds
+    /// its helper to the adjacent term. A lifted atom `(u, s, v)` is then
+    /// matched only when a path of at most
+    /// `max(egd_chase.path_bound, 3)` pattern edges *entails* `s`
+    /// (language inclusion — the same machinery as the egd chase). Every
+    /// solution receives a homomorphism from the pattern, so each match
+    /// holds in every solution. Rows are projected onto the *query's*
+    /// variables and kept when those are constants; helper variables may
+    /// bind to labeled nulls.
+    ///
+    /// Completeness is not attempted: tests under a star or a union keep
+    /// the syntactic fallback of the egd chase, and longer paths are not
+    /// explored. Use [`crate::ExchangeSession::certain_answers`] for the
     /// (bounded-complete) enumeration-based computation.
     pub fn certain_answer_lower_bound(
         &self,
-        query: &gdx_query::Cnre,
+        query: &Cnre,
         cfg: &Options,
-    ) -> Result<Vec<Vec<gdx_graph::Node>>> {
-        use gdx_chase::egd_pattern::certain_matches;
-        let mut cache = gdx_common::FxHashMap::default();
-        let matches = certain_matches(&self.pattern, query, cfg.egd_chase, &mut cache)?;
-        let vars = query.variables();
-        let mut rows: Vec<Vec<gdx_graph::Node>> = matches
-            .into_iter()
-            .filter_map(|m| {
-                let row: Vec<gdx_graph::Node> =
-                    vars.iter().map(|v| self.pattern.node(m[v])).collect();
-                row.iter().all(gdx_graph::Node::is_const).then_some(row)
-            })
-            .collect();
-        rows.sort();
-        rows.dedup();
-        Ok(rows)
+    ) -> Result<Vec<Vec<Node>>> {
+        LowerBoundIndex::new(&self.pattern, cfg).rows(&self.pattern, query)
     }
 
     /// Membership in the pair semantics: `π → G` **and** `G ⊨ M_t`.
@@ -96,6 +107,136 @@ impl UniversalRepresentative {
             constraints: &self.constraints,
         };
         setting_like.satisfied(graph)
+    }
+}
+
+/// The reusable half of [`UniversalRepresentative::certain_answer_lower_bound`]:
+/// the entailment index of one pattern at the lower bound's path bound,
+/// plus its inclusion-verdict cache. A session keeps one per
+/// representative, so repeated queries share the sequence relations and
+/// the per-NRE entailment relations.
+#[derive(Debug)]
+pub(crate) struct LowerBoundIndex {
+    index: EntailmentIndex,
+    incl_cache: FxHashMap<(Vec<Nre>, Nre), bool>,
+}
+
+impl LowerBoundIndex {
+    /// Indexes `pattern` at path bound `max(egd_chase.path_bound, 3)`.
+    pub(crate) fn new(pattern: &GraphPattern, cfg: &Options) -> LowerBoundIndex {
+        let egd = cfg.egd_chase;
+        let index_cfg = EgdChaseConfig {
+            path_bound: egd.path_bound.max(LOWER_BOUND_PATH_BOUND),
+            ..egd
+        };
+        LowerBoundIndex {
+            index: EntailmentIndex::build(pattern, index_cfg),
+            incl_cache: FxHashMap::default(),
+        }
+    }
+
+    /// The sorted, deduplicated constant rows of `query` (over its own
+    /// variables, in first-occurrence order) that the pattern proves.
+    /// `pattern` must be the one the index was built from.
+    pub(crate) fn rows(&mut self, pattern: &GraphPattern, query: &Cnre) -> Result<Vec<Vec<Node>>> {
+        let lifted = lift_tests(query);
+        let matches =
+            certain_matches_indexed(pattern, &lifted, &mut self.index, &mut self.incl_cache)?;
+        let vars = query.variables();
+        // Matches repeat rows once per helper binding: deduplicate before
+        // sorting.
+        let distinct: FxHashSet<Vec<Node>> = matches
+            .into_iter()
+            .filter_map(|m| {
+                let row: Vec<Node> = vars.iter().map(|v| pattern.node(m[v])).collect();
+                row.iter().all(Node::is_const).then_some(row)
+            })
+            .collect();
+        let mut rows: Vec<Vec<Node>> = distinct.into_iter().collect();
+        rows.sort();
+        Ok(rows)
+    }
+}
+
+/// Rewrites every nesting test at the top level of an atom's
+/// concatenation into atoms of its own, recursively (see
+/// [`UniversalRepresentative::certain_answer_lower_bound`]). Helper
+/// variables are named `#lift<n>`, which no parsed query can contain.
+fn lift_tests(query: &Cnre) -> Cnre {
+    let mut lifter = Lifter {
+        atoms: Vec::new(),
+        fresh: 0,
+    };
+    for atom in &query.atoms {
+        lifter.lift(atom.left, &atom.nre, atom.right);
+    }
+    Cnre::new(lifter.atoms)
+}
+
+struct Lifter {
+    atoms: Vec<CnreAtom>,
+    fresh: usize,
+}
+
+impl Lifter {
+    fn fresh_var(&mut self) -> Term {
+        self.fresh += 1;
+        Term::Var(Symbol::new(&format!("#lift{}", self.fresh)))
+    }
+
+    /// Emits the lifted atoms of `(left, r, right)`.
+    fn lift(&mut self, left: Term, r: &Nre, right: Term) {
+        let mut factors = Vec::new();
+        top_level_factors(r, &mut factors);
+        if !factors.iter().any(|f| matches!(f, Nre::Test(_))) {
+            self.atoms.push(CnreAtom::new(left, r.clone(), right));
+            return;
+        }
+        // Tests after the last path step sit at the atom's right end.
+        let last_step = factors.iter().rposition(|f| !matches!(f, Nre::Test(_)));
+        // The path position reached so far, and the factors read since.
+        let mut at = left;
+        let mut segment: Vec<Nre> = Vec::new();
+        for (i, factor) in factors.iter().enumerate() {
+            let Nre::Test(t) = factor else {
+                segment.push((*factor).clone());
+                continue;
+            };
+            if !segment.is_empty() {
+                let next = if last_step < Some(i) {
+                    right
+                } else {
+                    self.fresh_var()
+                };
+                let run = Nre::concat_all(std::mem::take(&mut segment));
+                self.atoms.push(CnreAtom::new(at, run, next));
+                at = next;
+            }
+            if cfg!(not(feature = "fault-lift-test")) {
+                let witness = self.fresh_var();
+                self.lift(at, t, witness);
+            }
+        }
+        if !segment.is_empty() {
+            self.atoms
+                .push(CnreAtom::new(at, Nre::concat_all(segment), right));
+        } else if at != right {
+            // Nothing but tests since the left end: both ends coincide.
+            self.atoms.push(CnreAtom::new(at, Nre::Epsilon, right));
+        }
+    }
+}
+
+/// The factors of `r`'s top-level concatenation, in path order (`ε`
+/// factors dropped). Stars and unions are single opaque factors.
+fn top_level_factors<'a>(r: &'a Nre, out: &mut Vec<&'a Nre>) {
+    match r {
+        Nre::Concat(a, b) => {
+            top_level_factors(a, out);
+            top_level_factors(b, out);
+        }
+        Nre::Epsilon => {}
+        other => out.push(other),
     }
 }
 
@@ -268,6 +409,102 @@ mod tests {
         for row in &rows {
             assert!(full.contains(row), "{row:?} must be certain");
         }
+    }
+
+    fn lifted(query: &str) -> Vec<String> {
+        lift_tests(&Cnre::parse(query).unwrap())
+            .atoms
+            .iter()
+            .map(ToString::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn lifting_splits_the_path_at_each_test() {
+        assert_eq!(
+            lifted("(x, f.[h].g, y)"),
+            ["(x, f, #lift1)", "(#lift1, h, #lift2)", "(#lift1, g, y)"]
+        );
+        // A test at either end binds its position to the adjacent term.
+        assert_eq!(lifted("(x, [h].f, y)"), ["(x, h, #lift1)", "(x, f, y)"]);
+        assert_eq!(lifted("(x, f.[h], y)"), ["(x, f, y)", "(y, h, #lift1)"]);
+        assert_eq!(
+            lifted("(\"c1\", f.[h], \"c2\")"),
+            ["(\"c1\", f, \"c2\")", "(\"c2\", h, #lift1)"]
+        );
+        // A lone test makes both ends one node.
+        assert_eq!(lifted("(x, [h], y)"), ["(x, h, #lift1)", "(x, eps, y)"]);
+        assert_eq!(lifted("(x, [h], x)"), ["(x, h, #lift1)"]);
+    }
+
+    #[test]
+    fn lifting_recurses_into_tests() {
+        assert_eq!(
+            lifted("(x, f.[g.[h]].f, y)"),
+            [
+                "(x, f, #lift1)",
+                "(#lift1, g, #lift2)",
+                "(#lift2, h, #lift3)",
+                "(#lift1, f, y)"
+            ]
+        );
+    }
+
+    #[test]
+    fn tests_under_a_star_or_a_union_stay_in_place() {
+        for q in ["(x, (f.[h])*, y)", "(x, f + [h], y)", "(x, f.f*, y)"] {
+            assert_eq!(lifted(q), [Cnre::parse(q).unwrap().atoms[0].to_string()]);
+        }
+        // Only the top-level test of a mixed path is lifted.
+        assert_eq!(
+            lifted("(x, f.[h].(g.[h])*, y)"),
+            [
+                "(x, f, #lift1)",
+                "(#lift1, h, #lift2)",
+                "(#lift1, (g.[h])*, y)"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_helper_bound_to_a_null_still_yields_the_row() {
+        let rep = UniversalRepresentative {
+            pattern: GraphPattern::parse("(c1, f, _N); (_N, h, hx); (_N, f, c2);").unwrap(),
+            constraints: Vec::new(),
+        };
+        let q = Cnre::parse("(x, f.[h].f, y)").unwrap();
+        let rows = rep
+            .certain_answer_lower_bound(&q, &Options::default())
+            .unwrap();
+        assert_eq!(rows, vec![vec![Node::cst("c1"), Node::cst("c2")]]);
+        // Without the h-edge the test fails on the pattern: no row.
+        let bare = UniversalRepresentative {
+            pattern: GraphPattern::parse("(c1, f, _N); (_N, f, c2);").unwrap(),
+            constraints: Vec::new(),
+        };
+        let none = bare
+            .certain_answer_lower_bound(&q, &Options::default())
+            .unwrap();
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn example_2_2_paper_query_is_proven_on_the_pattern() {
+        // The paper's query `(x1, f.f*.[h].f-.(f-)*, x2)`: its test sits
+        // at the top level, so the pattern proves all four certain pairs,
+        // the full answer of the enumeration-based computation.
+        let rep = rep_2_2();
+        let q = gdx_query::PreparedQuery::parse("(x1, f.f*.[h].f-.(f-)*, x2)").unwrap();
+        let mut lower = rep
+            .certain_answer_lower_bound(q.cnre(), &Options::default())
+            .unwrap();
+        let mut session = ExchangeSession::new(Setting::example_2_2_egd(), Instance::example_2_2());
+        session.solutions().unwrap().for_each(drop);
+        let (mut full, _) = session.certain_answers(&q).unwrap();
+        assert_eq!(full.len(), 4, "the paper's four certain pairs");
+        lower.sort();
+        full.sort();
+        assert_eq!(lower, full);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! lazily computes and memoizes
 //!
 //! * the chased **universal representative** (s-t chase + adapted egd
-//!   chase) — [`ExchangeSession::representative`];
+//!   chase) — [`ExchangeSession::representative`] — and the entailment
+//!   index of its certain-answer lower bound;
 //! * the verified **minimal-solution family** (the counterexample pool of
 //!   every certain-answer decision) plus one materialization cache per
 //!   solution graph — filled by draining
@@ -45,13 +46,13 @@ use crate::certain::CertainAnswer;
 use crate::encode::{self, Encoding};
 use crate::exists::{exact_fragment, EgdRepairer, Existence};
 use crate::options::Options;
-use crate::representative::{RepresentativeOutcome, UniversalRepresentative};
+use crate::representative::{LowerBoundIndex, RepresentativeOutcome, UniversalRepresentative};
 use crate::solution::SolutionChecker;
 use gdx_chase::{
     chase_egds_on_pattern_obs, chase_st_with_nulls, ChaseStats, EgdChaseOutcome, SameAsEngine,
     StChaseVariant, TgdChaseEngine,
 };
-use gdx_common::{FxHashMap, GdxError, Result, Symbol, Term};
+use gdx_common::{FxHashMap, FxHashSet, GdxError, Result, Symbol, Term};
 use gdx_graph::{Graph, GraphId, Node, NullFactory};
 use gdx_mapping::{Egd, SameAs, Setting, TargetTgd};
 use gdx_nre::eval::EvalCache;
@@ -80,6 +81,9 @@ pub struct ExchangeSession {
     // Memoized artifacts.
     representative: Option<RepresentativeOutcome>,
     representative_merges: usize,
+    /// The representative's pattern-level lower-bound index, built on the
+    /// first bounds check and kept with the representative.
+    lower_bound: Option<LowerBoundIndex>,
     /// On a failed egd chase: the clashing constant pair and the merges
     /// performed before the failure (diagnostics the unit-variant
     /// `RepresentativeOutcome::ChaseFailed` does not carry).
@@ -142,6 +146,7 @@ impl ExchangeSession {
             target_tgds,
             representative: None,
             representative_merges: 0,
+            lower_bound: None,
             chase_failure: None,
             encoding: None,
             solutions_memo: None,
@@ -165,8 +170,8 @@ impl ExchangeSession {
     }
 
     /// Attaches an observability sink. The session spans its public
-    /// requests, records a freeze/chase/eval/verify phase breakdown
-    /// (`session.phase.*_us` histograms, timestamps from the sink's
+    /// requests, records an s-t chase/chase/eval/verify/lower-bound phase
+    /// breakdown (`session.phase.*_us` histograms, timestamps from the sink's
     /// injected clock), and threads the sink into the chase engines, the
     /// demand evaluators' stat bridges and the runtime pools it builds.
     /// Recording never changes any result — every output stays
@@ -206,6 +211,7 @@ impl ExchangeSession {
         self.options = options;
         self.representative = None;
         self.representative_merges = 0;
+        self.lower_bound = None;
         self.chase_failure = None;
         self.encoding = None;
         self.solutions_memo = None;
@@ -301,9 +307,9 @@ impl ExchangeSession {
     pub fn representative(&mut self) -> Result<&RepresentativeOutcome> {
         if self.representative.is_none() {
             let _span = self.obs.span("session.representative");
-            // Freeze phase: the s-t chase freezes the source instance
-            // into the representative pattern.
-            let freeze_start = self.obs.now_micros();
+            // S-t chase phase: the source instance becomes the
+            // representative pattern.
+            let st_start = self.obs.now_micros();
             let st = chase_st_with_nulls(
                 &self.instance,
                 &self.setting,
@@ -311,8 +317,8 @@ impl ExchangeSession {
                 NullFactory::starting_at(self.options.null_seed),
             )?;
             self.obs.observe(
-                "session.phase.freeze_us",
-                self.obs.now_micros().saturating_sub(freeze_start),
+                "session.phase.st_chase_us",
+                self.obs.now_micros().saturating_sub(st_start),
             );
             // Chase phase: the adapted egd chase repairs the pattern.
             let chase_start = self.obs.now_micros();
@@ -510,6 +516,19 @@ impl ExchangeSession {
         }
         let _span = self.obs.span("session.certain");
         self.obs.incr("session.requests");
+        // A tuple the pattern proves holds in every solution: it has no
+        // counterexample, so the family need not be built or scanned.
+        let bounds_first = self.bounds_first();
+        if bounds_first {
+            match self.proven_rows(query.cnre())? {
+                Some(rows) if !rows.is_empty() => {
+                    self.obs.incr("session.lower_bound.proven");
+                    return Ok(CertainAnswer::Certain);
+                }
+                Some(_) => self.obs.incr("session.lower_bound.fallback"),
+                None => {}
+            }
+        }
         self.ensure_solutions()?;
         if self.solutions_memo.is_none() {
             // The per-request deadline paused the enumeration: the
@@ -547,14 +566,15 @@ impl ExchangeSession {
         }
         // Outside the exact fragment, a pattern-level entailment proof can
         // still establish certainty (sound lower bound on cert — see
-        // `representative::certain_answer_lower_bound`).
-        let options = self.options;
-        if let RepresentativeOutcome::Representative(rep) = self.representative()? {
-            let proven = rep.certain_answer_lower_bound(query.cnre(), &options)?;
-            // A constants-only query has one empty answer row when proven.
-            if !proven.is_empty() {
-                return Ok(CertainAnswer::Certain);
-            }
+        // `representative::certain_answer_lower_bound`). A constants-only
+        // query has one empty answer row when proven.
+        if !bounds_first
+            && self
+                .proven_rows(query.cnre())?
+                .is_some_and(|r| !r.is_empty())
+        {
+            self.obs.incr("session.lower_bound.proven");
+            return Ok(CertainAnswer::Certain);
         }
         Ok(CertainAnswer::Unknown(
             "all bounded candidates select the tuple, but the family may be \
@@ -619,12 +639,25 @@ impl ExchangeSession {
     /// answer rows. Returns `(rows, exact)`; with `exact == false` the set
     /// is not provably complete — either the candidate family was bounded,
     /// or `Options::row_limit` cut rows off the returned set.
+    ///
+    /// Outside the exact fragment the answer is squeezed first: the
+    /// pattern-level lower bound is contained in the certain answers,
+    /// which are contained in the first verified graph's constant rows.
+    /// When the two meet, they are the answer, and the rest of the family
+    /// is left unbuilt (paused, resumable). Otherwise the whole family is
+    /// drained and intersected. Under a deadline the squeeze waits until
+    /// the session holds the lower-bound index.
     // The `expect`s below read memos the preceding ensure_* call just
     // filled; a miss is a session-state bug worth a loud panic.
     #[allow(clippy::expect_used)]
     pub fn certain_answers(&mut self, query: &PreparedQuery) -> Result<(Vec<Vec<Node>>, bool)> {
         let _span = self.obs.span("session.certain_answers");
         self.obs.incr("session.requests");
+        if self.bounds_first() {
+            if let Some(answer) = self.certain_answers_by_bounds(query)? {
+                return Ok(answer);
+            }
+        }
         self.ensure_solutions()?;
         if self.solutions_memo.is_none() {
             // Deadline pause: intersect over the verified prefix only.
@@ -649,6 +682,100 @@ impl ExchangeSession {
         res
     }
 
+    /// Are the two bounds consulted before the family? Never inside the
+    /// exact fragment, where the family decides `exact`. Under a deadline
+    /// only once the session holds the lower-bound index: building it is
+    /// work the budget does not cover.
+    fn bounds_first(&self) -> bool {
+        !exact_fragment(&self.setting)
+            && (self.options.deadline_micros.is_none() || self.lower_bound.is_some())
+    }
+
+    /// The pattern-level lower bound of `query` (see
+    /// [`UniversalRepresentative::certain_answer_lower_bound`]) from the
+    /// session's memoized index; `None` when the adapted chase failed.
+    fn proven_rows(&mut self, query: &gdx_query::Cnre) -> Result<Option<Vec<Vec<Node>>>> {
+        self.representative()?;
+        let Some(RepresentativeOutcome::Representative(rep)) = &self.representative else {
+            return Ok(None);
+        };
+        let start = self.obs.now_micros();
+        let options = self.options;
+        let index = self
+            .lower_bound
+            .get_or_insert_with(|| LowerBoundIndex::new(&rep.pattern, &options));
+        let rows = index.rows(&rep.pattern, query);
+        self.obs.observe(
+            "session.phase.lower_bound_us",
+            self.obs.now_micros().saturating_sub(start),
+        );
+        rows.map(Some)
+    }
+
+    /// The early exit of [`ExchangeSession::certain_answers`]:
+    /// `lower ⊆ cert ⊆ rows(G₀)`, so when the lower bound equals the
+    /// first verified graph's constant rows, both are the answer — the
+    /// same rows the drained intersection would return.
+    fn certain_answers_by_bounds(
+        &mut self,
+        query: &PreparedQuery,
+    ) -> Result<Option<(Vec<Vec<Node>>, bool)>> {
+        let Some(lower) = self.proven_rows(query.cnre())? else {
+            return Ok(None);
+        };
+        match self.first_graph_rows(query)? {
+            Some(upper)
+                if lower.len() == upper.len() && lower.iter().all(|r| upper.contains(r)) =>
+            {
+                self.obs.incr("session.lower_bound.proven");
+                // Outside the exact fragment the family is never exact.
+                Ok(Some(self.answer_rows(upper, false)))
+            }
+            _ => {
+                self.obs.incr("session.lower_bound.fallback");
+                Ok(None)
+            }
+        }
+    }
+
+    /// The constant rows of `query` on the first verified solution: from
+    /// the memo, from a paused prefix, or from one freshly pulled
+    /// candidate (the dropped stream pauses the rest of the family).
+    /// `None` when the family has no member.
+    fn first_graph_rows(&mut self, query: &PreparedQuery) -> Result<Option<FxHashSet<Vec<Node>>>> {
+        let prefix_empty = self.pending.as_ref().is_none_or(|p| p.collected.is_empty());
+        if self.solutions_memo.is_none() && prefix_empty {
+            if let Some(g) = self.solutions()?.next() {
+                g?;
+            }
+        }
+        // Probe the stored graph, not a clone: its evaluation cache is
+        // the one a later family scan reuses.
+        if let Some(memo) = self.solutions_memo.take() {
+            let rows = self.rows_of_first(&memo.graphs, query);
+            self.solutions_memo = Some(memo);
+            return rows;
+        }
+        let Some(pending) = self.pending.take() else {
+            return Ok(None);
+        };
+        let rows = self.rows_of_first(&pending.collected, query);
+        self.pending = Some(pending);
+        rows
+    }
+
+    fn rows_of_first(
+        &mut self,
+        graphs: &[Graph],
+        query: &PreparedQuery,
+    ) -> Result<Option<FxHashSet<Vec<Node>>>> {
+        let Some(first) = graphs.first() else {
+            return Ok(None);
+        };
+        let bindings = self.family_probe(std::slice::from_ref(first), query, None, false)?;
+        Ok(bindings.first().map(|b| b.constant_rows(first)))
+    }
+
     /// Sorted constant-row intersection over a solution family, with the
     /// `Options::row_limit` truncation applied — the shared tail of
     /// [`ExchangeSession::certain_answers`]'s exact and deadline-paused
@@ -670,7 +797,13 @@ impl ExchangeSession {
         for rows in sets {
             inter.retain(|r| rows.contains(r));
         }
-        let mut rows: Vec<Vec<Node>> = inter.into_iter().collect();
+        Ok(self.answer_rows(inter, base_exact))
+    }
+
+    /// An answer set in its returned form: rows sorted by constant name,
+    /// then cut to `Options::row_limit` (a cut set is inexact).
+    fn answer_rows(&self, set: FxHashSet<Vec<Node>>, base_exact: bool) -> (Vec<Vec<Node>>, bool) {
+        let mut rows: Vec<Vec<Node>> = set.into_iter().collect();
         rows.sort_by_key(|r| r.iter().map(|n| n.name().as_str()).collect::<Vec<_>>());
         let mut exact = base_exact;
         if let Some(cap) = self.options.row_limit {
@@ -681,7 +814,7 @@ impl ExchangeSession {
                 exact = false;
             }
         }
-        Ok((rows, exact))
+        (rows, exact)
     }
 
     /// Evaluates `query` over every graph of the (temporarily detached)
@@ -1183,11 +1316,35 @@ mod tests {
         let (rows, _exact) = s.certain_answers(&q).unwrap();
         assert_eq!(rows.len(), 4, "the paper's four certain pairs");
         let examined = s.candidates_examined();
-        // A second query reuses the memoized family.
+        // A second query reuses the verified prefix.
         let q2 = PreparedQuery::parse("(x, f.f*, y)").unwrap();
         let (rows2, _exact) = s.certain_answers(&q2).unwrap();
         assert!(!rows2.is_empty());
         assert_eq!(s.candidates_examined(), examined);
+    }
+
+    #[test]
+    fn certain_answers_stop_when_the_bounds_meet() {
+        // The pattern proves every pair the first verified graph answers:
+        // one candidate is examined, the rest of the family stays paused,
+        // and the answer is the drained family's.
+        let q = PreparedQuery::parse("(x1, f.f*.[h].f-.(f-)*, x2)").unwrap();
+        let mut early = session_2_2();
+        let answer = early.certain_answers(&q).unwrap();
+        assert_eq!(early.candidates_examined(), 1);
+        let mut drained = session_2_2();
+        drained.solutions().unwrap().for_each(drop);
+        assert!(drained.candidates_examined() > 1);
+        assert_eq!(drained.certain_answers(&q).unwrap(), answer);
+        // The paused family resumes where the early exit left it.
+        let family = early.solutions().unwrap().count();
+        assert_eq!(family, drained.solutions().unwrap().count());
+        assert_eq!(early.candidates_examined(), drained.candidates_examined());
+        // A proven probe needs no family at all.
+        let mut cold = session_2_2();
+        let probe = PreparedQuery::parse("(\"c1\", f.f*.[h].f-.(f-)*, \"c3\")").unwrap();
+        assert!(cold.certain(&probe).unwrap().is_certain());
+        assert_eq!(cold.candidates_examined(), 0);
     }
 
     #[test]
@@ -1277,6 +1434,8 @@ mod tests {
             reg.counter("session.candidates"),
             observed.candidates_examined() as u64
         );
+        assert_eq!(reg.counter("session.lower_bound.proven"), 1);
+        assert_eq!(reg.counter("session.lower_bound.fallback"), 0);
         assert_eq!(
             reg.counter("chase.firings"),
             observed.chase_stats().steps as u64
@@ -1291,10 +1450,11 @@ mod tests {
                 .unwrap_or(0)
         };
         for name in [
-            "session.phase.freeze_us",
+            "session.phase.st_chase_us",
             "session.phase.chase_us",
             "session.phase.eval_us",
             "session.phase.verify_us",
+            "session.phase.lower_bound_us",
         ] {
             assert!(phase(name) >= 1, "missing phase observation: {name}");
         }

@@ -12,14 +12,24 @@
 //! up to null renaming (graph isomorphism) and never compare free-text
 //! diagnostics. The `faults` oracle runs the scenario once with generous
 //! bounds and then re-runs it under adversarial boundary options,
-//! asserting graceful degradation against the baseline.
+//! asserting graceful degradation against the baseline. The `sandwich`
+//! oracle squeezes every open query's answer between the pattern-level
+//! lower bound and an independently drained family intersection.
+//!
+//! The `threads` and `faults` oracles run on a thread of their own under
+//! a wall-clock [`WATCHDOG`], so a deadlock or livelock fails as
+//! [`SimFailure::Hang`] instead of stalling the campaign.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use gdx_chase::TgdChaseMode;
 use gdx_common::{GdxError, Result};
+use gdx_exchange::representative::RepresentativeOutcome;
 use gdx_exchange::{CertainAnswer, ExchangeSession, Existence};
-use gdx_graph::{is_isomorphic, Graph};
+use gdx_graph::{is_isomorphic, Graph, Node};
 use gdx_mapping::Setting;
 use gdx_query::{PlannerMode, PreparedQuery};
 use gdx_relational::Instance;
@@ -62,6 +72,13 @@ pub enum SimFailure {
         /// What contract broke.
         message: String,
     },
+    /// The run did not finish within the watchdog's wall-clock limit.
+    Hang {
+        /// Index of the op that was running when the limit passed.
+        op: usize,
+        /// The wall-clock limit that passed.
+        limit: Duration,
+    },
 }
 
 impl SimFailure {
@@ -94,6 +111,7 @@ impl SimFailure {
                 clip(right)
             ),
             SimFailure::Unsound { op, message } => format!("unsound op={op}: {}", clip(message)),
+            SimFailure::Hang { op, limit } => format!("hang op={op}: no result within {limit:?}"),
         }
     }
 }
@@ -113,6 +131,9 @@ impl std::fmt::Display for SimFailure {
                 "oracle `{oracle}` mismatch at op {op}\n--- left ---\n{left}\n--- right ---\n{right}"
             ),
             SimFailure::Unsound { op, message } => write!(f, "unsound at op {op}: {message}"),
+            SimFailure::Hang { op, limit } => {
+                write!(f, "hang at op {op}: the run gave no result within {limit:?}")
+            }
         }
     }
 }
@@ -390,18 +411,11 @@ impl Side {
                 Err(e) => Outcome::Cert(Err(e)),
             },
             Op::CertainAnswers(q) => match PreparedQuery::parse(q) {
-                Ok(pq) => Outcome::Rows(self.session.certain_answers(&pq).map(|(rows, exact)| {
-                    let rendered = rows
-                        .iter()
-                        .map(|r| {
-                            r.iter()
-                                .map(|n| n.name().to_string())
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        })
-                        .collect();
-                    (rendered, exact)
-                })),
+                Ok(pq) => Outcome::Rows(
+                    self.session
+                        .certain_answers(&pq)
+                        .map(|(rows, exact)| (row_texts(&rows), exact)),
+                ),
                 Err(e) => Outcome::Rows(Err(e)),
             },
             Op::Solutions(take) => {
@@ -495,6 +509,7 @@ pub fn run_scenario(sc: &Scenario, oracle: Oracle) -> std::result::Result<(), Si
             Knob::Mode(TgdChaseMode::SemiNaive),
             Knob::Mode(TgdChaseMode::Naive),
             false,
+            &AtomicUsize::new(0),
         ),
         Oracle::Planner => run_pair(
             sc,
@@ -502,11 +517,67 @@ pub fn run_scenario(sc: &Scenario, oracle: Oracle) -> std::result::Result<(), Si
             Knob::Planner(PlannerMode::Auto),
             Knob::Planner(PlannerMode::Materialize),
             true,
+            &AtomicUsize::new(0),
         ),
-        Oracle::Threads => run_pair(sc, oracle, Knob::Threads(1), Knob::Threads(4), true),
+        Oracle::Threads => {
+            let sc = sc.clone();
+            watchdog(WATCHDOG, move |progress| {
+                run_pair(
+                    &sc,
+                    oracle,
+                    Knob::Threads(1),
+                    Knob::Threads(4),
+                    true,
+                    progress,
+                )
+            })
+        }
         Oracle::Sat => run_sat(sc),
         Oracle::Fork => run_fork(sc),
-        Oracle::Faults => crate::exec::faults::run(sc),
+        Oracle::Faults => {
+            let sc = sc.clone();
+            watchdog(WATCHDOG, move |progress| faults::run(&sc, progress))
+        }
+        Oracle::Sandwich => run_sandwich(sc),
+    }
+}
+
+/// Wall-clock limit of one `threads` or `faults` run. A scenario
+/// finishes in well under a second; only a hang comes near it.
+pub const WATCHDOG: Duration = Duration::from_secs(20);
+
+/// Runs `run` on a thread of its own and waits at most `limit` for its
+/// result. `run` records the index of the op it is executing in the
+/// counter it is handed; past the limit, that index becomes a
+/// [`SimFailure::Hang`]. A hung thread cannot be stopped: it is left
+/// behind, detached, and the caller moves on.
+pub(crate) fn watchdog<F>(limit: Duration, run: F) -> std::result::Result<(), SimFailure>
+where
+    F: FnOnce(&AtomicUsize) -> std::result::Result<(), SimFailure> + Send + 'static,
+{
+    let progress = Arc::new(AtomicUsize::new(0));
+    let (tx, rx) = mpsc::channel();
+    let worker_progress = Arc::clone(&progress);
+    // gdx-lint: allow(thread-spawn) — the watchdog must outlive a hung run, so the run gets a detachable thread of its own
+    let handle = std::thread::spawn(move || {
+        // The receiver is gone only after a timeout: nobody listens.
+        let _ = tx.send(run(&worker_progress));
+    });
+    let op = || progress.load(Ordering::SeqCst);
+    match rx.recv_timeout(limit) {
+        Ok(result) => {
+            // The run has sent its result, so the join returns at once.
+            let _ = handle.join();
+            result
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(SimFailure::Hang { op: op(), limit }),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(SimFailure::Panic {
+            op: op(),
+            message: match handle.join() {
+                Err(payload) => panic_message(payload),
+                Ok(()) => "watchdog run ended without a result".to_owned(),
+            },
+        }),
     }
 }
 
@@ -551,18 +622,27 @@ fn run_replay(sc: &Scenario) -> std::result::Result<(), SimFailure> {
     Ok(())
 }
 
-/// Two identically-driven sessions differing in exactly one knob.
+/// Two identically-driven sessions differing in exactly one knob. The
+/// index of each op is stored into `progress` before it runs (the
+/// watchdog reports it on a hang).
 fn run_pair(
     sc: &Scenario,
     oracle: Oracle,
     kl: Knob,
     kr: Knob,
     strict: bool,
+    progress: &AtomicUsize,
 ) -> std::result::Result<(), SimFailure> {
     let name = oracle.name();
     let mut left = Side::new(sc, kl, false)?;
     let mut right = Side::new(sc, kr, false)?;
+    if oracle == Oracle::Threads {
+        // Work counters must read the same at any worker count.
+        left.session.set_obs(gdx_obs::Obs::enabled());
+        right.session.set_obs(gdx_obs::Obs::enabled());
+    }
     for (i, op) in sc.ops.iter().enumerate() {
+        progress.store(i, Ordering::SeqCst);
         let lo = left
             .apply(op)
             .map_err(|message| SimFailure::Panic { op: i, message })?;
@@ -602,8 +682,31 @@ fn run_pair(
                 });
             }
         }
+        if oracle == Oracle::Threads {
+            let (l, r) = (lower_bound_counters(&left), lower_bound_counters(&right));
+            if l != r {
+                return Err(SimFailure::Mismatch {
+                    op: i,
+                    oracle: name,
+                    left: l,
+                    right: r,
+                });
+            }
+        }
     }
     Ok(())
+}
+
+/// The side's `session.lower_bound.*` counters, rendered.
+fn lower_bound_counters(side: &Side) -> String {
+    let Some(reg) = side.session.obs().registry() else {
+        return "no registry".to_owned();
+    };
+    format!(
+        "lower bound proven={} fallback={}",
+        reg.counter("session.lower_bound.proven"),
+        reg.counter("session.lower_bound.fallback")
+    )
 }
 
 /// SAT-encoded existence vs chase-driven existence: definite verdicts
@@ -695,6 +798,144 @@ fn run_fork(sc: &Scenario) -> std::result::Result<(), SimFailure> {
     Ok(())
 }
 
+/// The certain-answer sandwich. After every `certain-answers` op, over
+/// the side's current options:
+///
+/// * the pattern-level lower bound lies inside the intersection of the
+///   drained family's constant rows, computed here from the streamed
+///   graphs (when the family has a member);
+/// * a fresh session's `certain_answers`, which may return early once
+///   the two bounds meet, equals that intersection, and equals the
+///   answer of a session whose family was drained first.
+fn run_sandwich(sc: &Scenario) -> std::result::Result<(), SimFailure> {
+    let mut side = Side::new(sc, Knob::AsIs, false)?;
+    for (i, op) in sc.ops.iter().enumerate() {
+        let out = side
+            .apply(op)
+            .map_err(|message| SimFailure::Panic { op: i, message })?;
+        check_no_internal(i, &out)?;
+        if let Op::CertainAnswers(q) = op {
+            let Ok(query) = PreparedQuery::parse(q) else {
+                continue;
+            };
+            catch_unwind(AssertUnwindSafe(|| check_sandwich(&side, i, &query))).map_err(
+                |p| SimFailure::Panic {
+                    op: i,
+                    message: panic_message(p),
+                },
+            )??;
+        }
+    }
+    Ok(())
+}
+
+/// One sandwich check (see [`run_sandwich`]). Engine errors skip the
+/// check: the other oracles own error behaviour.
+fn check_sandwich(
+    side: &Side,
+    op: usize,
+    query: &PreparedQuery,
+) -> std::result::Result<(), SimFailure> {
+    let options = side.opts.to_options();
+    let session =
+        || ExchangeSession::new(side.setting.clone(), side.instance.clone()).with_options(options);
+    let mismatch = |what: &str, left: String, right: String| {
+        Err(SimFailure::Mismatch {
+            op,
+            oracle: "sandwich",
+            left: format!("{what}: {left}"),
+            right,
+        })
+    };
+
+    // The family, drained on a session of its own.
+    let mut drained = session();
+    let (graphs, family_exact) = {
+        let Ok(mut stream) = drained.solutions() else {
+            return Ok(());
+        };
+        let mut graphs = Vec::new();
+        for g in &mut stream {
+            let Ok(g) = g else {
+                return Ok(());
+            };
+            graphs.push(g);
+        }
+        (graphs, stream.exact())
+    };
+    let mut per_graph = Vec::with_capacity(graphs.len());
+    for g in &graphs {
+        let Ok(bindings) = query.evaluate(g) else {
+            return Ok(());
+        };
+        per_graph.push(bindings.constant_rows(g));
+    }
+    let intersection = per_graph.split_first().map(|(first, rest)| {
+        let mut inter = first.clone();
+        inter.retain(|row| rest.iter().all(|rows| rows.contains(row)));
+        inter
+    });
+
+    // Lower bound ⊆ ⋂ family.
+    if let Some(inter) = &intersection {
+        if let Ok(RepresentativeOutcome::Representative(rep)) = drained.representative() {
+            if let Ok(lower) = rep.certain_answer_lower_bound(query.cnre(), &options) {
+                if let Some(row) = lower.iter().find(|row| !inter.contains(*row)) {
+                    return Err(SimFailure::Unsound {
+                        op,
+                        message: format!(
+                            "lower bound row {} is missing from the family intersection",
+                            row_texts(std::slice::from_ref(row)).join("")
+                        ),
+                    });
+                }
+            }
+        }
+    }
+
+    // The same answer, sorted and cut as the session returns it.
+    let mut rows: Vec<Vec<Node>> = intersection.unwrap_or_default().into_iter().collect();
+    rows.sort_by_key(|r| r.iter().map(|n| n.name().as_str()).collect::<Vec<_>>());
+    let mut exact = family_exact;
+    if let Some(cap) = options.row_limit {
+        if rows.len() > cap {
+            rows.truncate(cap);
+            exact = false;
+        }
+    }
+    let render = |(rows, exact): (Vec<Vec<Node>>, bool)| {
+        Outcome::Rows(Ok((row_texts(&rows), exact))).render()
+    };
+    let reference = render((rows, exact));
+    let Ok(fresh) = session().certain_answers(query) else {
+        return Ok(());
+    };
+    let fresh = render(fresh);
+    if fresh != reference {
+        return mismatch("fresh session", fresh, reference);
+    }
+    let Ok(warm) = drained.certain_answers(query) else {
+        return Ok(());
+    };
+    let warm = render(warm);
+    if warm != reference {
+        return mismatch("drained session", warm, reference);
+    }
+    Ok(())
+}
+
+/// Answer rows as comma-joined constant names, the form outcomes render.
+fn row_texts(rows: &[Vec<Node>]) -> Vec<String> {
+    rows.iter()
+        .map(|r| {
+            r.iter()
+                .map(|n| n.name().to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect()
+}
+
 /// Fault injection: baseline vs boundary-resource sweeps.
 pub(crate) mod faults {
     use super::*;
@@ -719,10 +960,15 @@ pub(crate) mod faults {
     /// Runs every op under `opts` (ignoring trace-embedded `SetOptions`,
     /// which would clobber the swept knobs). Panics and escaped internal
     /// errors fail immediately; typed errors are recorded as outcomes.
-    fn exec_all(sc: &Scenario, opts: &SimOptions) -> std::result::Result<RunOut, SimFailure> {
+    fn exec_all(
+        sc: &Scenario,
+        opts: &SimOptions,
+        progress: &AtomicUsize,
+    ) -> std::result::Result<RunOut, SimFailure> {
         let mut side = Side::with_options(sc, opts.clone(), Knob::AsIs, false)?;
         let mut outcomes = Vec::with_capacity(sc.ops.len());
         for (i, op) in sc.ops.iter().enumerate() {
+            progress.store(i, Ordering::SeqCst);
             if let Op::SetOptions(_) = op {
                 outcomes.push(Outcome::Options("skipped".to_owned()));
                 continue;
@@ -830,9 +1076,12 @@ pub(crate) mod faults {
         Ok(())
     }
 
-    pub(crate) fn run(sc: &Scenario) -> std::result::Result<(), SimFailure> {
+    pub(crate) fn run(
+        sc: &Scenario,
+        progress: &AtomicUsize,
+    ) -> std::result::Result<(), SimFailure> {
         let base_opts = baseline_options(sc);
-        let base = exec_all(sc, &base_opts)?;
+        let base = exec_all(sc, &base_opts, progress)?;
 
         // Measure "need" for the just-below-need boundaries.
         let max_rows = base
@@ -888,7 +1137,7 @@ pub(crate) mod faults {
             ..base_opts.clone()
         });
         for opts in &sweeps {
-            let out = exec_all(sc, opts)?;
+            let out = exec_all(sc, opts, progress)?;
             check_degradation(&base, &out, opts)?;
         }
 
@@ -899,7 +1148,7 @@ pub(crate) mod faults {
                 threads: Some(t),
                 ..base_opts.clone()
             };
-            let out = exec_all(sc, &opts)?;
+            let out = exec_all(sc, &opts, progress)?;
             for (i, (b, o)) in base.outcomes.iter().zip(&out.outcomes).enumerate() {
                 let (l, r) = (b.render(), o.render());
                 if l != r {
@@ -922,5 +1171,52 @@ pub(crate) mod faults {
             vals.push(need - 1);
         }
         vals
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn watchdog_passes_a_finished_run_through() {
+        let failure = SimFailure::Setup {
+            message: "scenario".to_owned(),
+        };
+        let expected = failure.clone();
+        assert_eq!(watchdog(WATCHDOG, |_| Ok(())), Ok(()));
+        assert_eq!(watchdog(WATCHDOG, move |_| Err(failure)), Err(expected));
+    }
+
+    #[test]
+    fn watchdog_turns_a_hang_into_a_failure() {
+        // The run blocks until the test releases it, after the verdict.
+        let (release, blocked) = mpsc::channel::<()>();
+        let limit = Duration::from_millis(50);
+        let got = watchdog(limit, move |progress| {
+            progress.store(3, Ordering::SeqCst);
+            let _ = blocked.recv();
+            Ok(())
+        });
+        release.send(()).expect("the run is still waiting");
+        match got {
+            Err(SimFailure::Hang { limit: l, .. }) => assert_eq!(l, limit),
+            other => panic!("expected a hang, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn watchdog_reports_a_panicking_run() {
+        let got = watchdog(WATCHDOG, |progress| {
+            progress.store(2, Ordering::SeqCst);
+            panic!("boom")
+        });
+        assert_eq!(
+            got,
+            Err(SimFailure::Panic {
+                op: 2,
+                message: "boom".to_owned()
+            })
+        );
     }
 }

@@ -17,10 +17,11 @@
 //! | `replay`     | long-lived memoizing session ≡ fresh per-query session (strict)|
 //! | `chase-mode` | semi-naive ≡ naive chase (isomorphic results, equal steps)    |
 //! | `planner`    | `Auto` ≡ `Materialize` planner (byte-identical)               |
-//! | `threads`    | N-worker ≡ 1-worker (byte-identical)                          |
+//! | `threads`    | N-worker ≡ 1-worker (byte-identical, lower-bound counters too)|
 //! | `sat`        | SAT existence vs chase existence (no contradicting verdicts)  |
 //! | `fork`       | fork overlays ≡ `compact()` deep copies (byte-identical)      |
 //! | `faults`     | boundary-resource sweep: graceful degradation (see below)     |
+//! | `sandwich`   | lower bound ⊆ drained-family answers; early exit ≡ full drain |
 //!
 //! Every oracle also asserts the blanket soundness contract: no panics
 //! and no `GdxError::Internal` escapes, whatever the inputs. The
@@ -28,7 +29,10 @@
 //! (`row_limit`/`solution_cap`/`max_steps`/thread counts at 0, 1, and
 //! just-below-need, plus chase-termination-boundary cyclic settings)
 //! and asserts `exact == false` wherever truncation occurred and that
-//! definite verdicts never contradict an unconstrained baseline.
+//! definite verdicts never contradict an unconstrained baseline. The
+//! `threads` and `faults` oracles run under a wall-clock watchdog
+//! ([`exec::WATCHDOG`]): a run that hangs fails as [`SimFailure::Hang`]
+//! and shrinks like any other failure.
 //!
 //! Failing runs auto-shrink ([`shrink::shrink`]) — drop ops, facts,
 //! constraints, edges; re-check the failure still reproduces
@@ -67,11 +71,14 @@ pub enum Oracle {
     Fork,
     /// Boundary-resource fault injection.
     Faults,
+    /// The two certain-answer bounds: pattern-level lower bound vs the
+    /// drained family, and the early exit vs a full drain.
+    Sandwich,
 }
 
 impl Oracle {
     /// Every oracle, in campaign order.
-    pub const ALL: [Oracle; 7] = [
+    pub const ALL: [Oracle; 8] = [
         Oracle::Replay,
         Oracle::ChaseMode,
         Oracle::Planner,
@@ -79,6 +86,7 @@ impl Oracle {
         Oracle::Sat,
         Oracle::Fork,
         Oracle::Faults,
+        Oracle::Sandwich,
     ];
 
     /// The CLI / repro-file name.
@@ -91,6 +99,7 @@ impl Oracle {
             Oracle::Sat => "sat",
             Oracle::Fork => "fork",
             Oracle::Faults => "faults",
+            Oracle::Sandwich => "sandwich",
         }
     }
 

@@ -79,7 +79,8 @@ fn failing_op(f: &SimFailure) -> Option<usize> {
     match f {
         SimFailure::Panic { op, .. }
         | SimFailure::Mismatch { op, .. }
-        | SimFailure::Unsound { op, .. } => Some(*op),
+        | SimFailure::Unsound { op, .. }
+        | SimFailure::Hang { op, .. } => Some(*op),
         SimFailure::Setup { .. } => None,
     }
 }

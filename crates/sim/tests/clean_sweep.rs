@@ -2,14 +2,15 @@
 //! multi-seed campaign (≥500 seeds across all oracles), and shrunk
 //! repros replay byte-identically from their text form.
 //!
-//! Compiled out under the `fault-delta-window` feature — with the fault
-//! in, failures are the *expected* outcome (see `sharpness.rs`).
-#![cfg(not(feature = "fault-delta-window"))]
+//! Compiled out under the `fault-delta-window` and `fault-lift-test`
+//! features — with a fault in, failures are the *expected* outcome (see
+//! `sharpness.rs`).
+#![cfg(not(any(feature = "fault-delta-window", feature = "fault-lift-test")))]
 
 use gdx_sim::campaign::{replay_text, run_campaign, Replayed};
 use gdx_sim::{generate, run_scenario, Oracle, Repro};
 
-/// Seeds per oracle: 7 oracles × 75 = 525 total across all oracles.
+/// Seeds per oracle: 8 oracles × 75 = 600 total across all oracles.
 const SEEDS_PER_ORACLE: u64 = 75;
 
 fn sweep(oracle: Oracle) {
@@ -61,6 +62,11 @@ fn clean_fork() {
 #[test]
 fn clean_faults() {
     sweep(Oracle::Faults);
+}
+
+#[test]
+fn clean_sandwich() {
+    sweep(Oracle::Sandwich);
 }
 
 /// Scenario execution itself is deterministic: the same seed's scenario,

@@ -7,9 +7,10 @@
 //! drifted from what `Repro::to_text` emits. Regenerate with
 //! `cargo run -p gdx-sim --example gen_corpus` and review the diff.
 //!
-//! Compiled out under `fault-delta-window`: with the deliberate fault in,
-//! chase-mode corpus entries are *supposed* to fail.
-#![cfg(not(feature = "fault-delta-window"))]
+//! Compiled out under `fault-delta-window` and `fault-lift-test`: with a
+//! deliberate fault in, the corpus entries of its oracle are *supposed*
+//! to fail.
+#![cfg(not(any(feature = "fault-delta-window", feature = "fault-lift-test")))]
 
 use gdx_sim::{replay_text, Replayed, Repro};
 
@@ -27,7 +28,10 @@ fn corpus_files() -> Vec<std::path::PathBuf> {
 #[test]
 fn corpus_is_nonempty_and_covers_every_oracle() {
     let files = corpus_files();
-    assert!(files.len() >= 14, "expected ≥2 repros per oracle");
+    assert!(
+        files.len() >= 2 * gdx_sim::Oracle::ALL.len(),
+        "expected ≥2 repros per oracle"
+    );
     for oracle in gdx_sim::Oracle::ALL {
         assert!(
             files.iter().any(|p| {

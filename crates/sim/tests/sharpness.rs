@@ -1,21 +1,36 @@
-//! Detector-sharpness acceptance: with the deliberate off-by-one in the
-//! semi-naive delta window compiled in (`--features fault-delta-window`),
-//! the chase-mode oracle must find a failing seed within 200 seeds,
+//! Detector-sharpness acceptance: with a deliberate fault compiled in,
+//! the oracle that guards it must find a failing seed within 200 seeds,
 //! shrink it, and the shrunk repro must replay byte-identically from its
 //! seed+trace text.
 //!
-//! Run with: `cargo test -p gdx-sim --features fault-delta-window`
-#![cfg(feature = "fault-delta-window")]
+//! * `--features fault-delta-window`: an off-by-one in the semi-naive
+//!   delta window, caught by the chase-mode oracle;
+//! * `--features fault-lift-test`: the pattern-level lower bound drops
+//!   its lifted nesting-test atoms, caught by the sandwich oracle.
+//!
+//! Run with: `cargo test -p gdx-sim --features <fault> --test sharpness`
+#![cfg(any(feature = "fault-delta-window", feature = "fault-lift-test"))]
 
 use gdx_sim::campaign::{replay_text, run_campaign, Replayed};
 use gdx_sim::{Oracle, Repro};
 
+#[cfg(feature = "fault-delta-window")]
 #[test]
 fn chase_mode_oracle_catches_the_window_fault_within_200_seeds() {
-    let report = run_campaign(Oracle::ChaseMode, 0, 200, 1);
+    catches_and_shrinks(Oracle::ChaseMode, "fault-delta-window");
+}
+
+#[cfg(feature = "fault-lift-test")]
+#[test]
+fn sandwich_oracle_catches_the_dropped_test_atom_within_200_seeds() {
+    catches_and_shrinks(Oracle::Sandwich, "fault-lift-test");
+}
+
+fn catches_and_shrinks(oracle: Oracle, fault: &str) {
+    let report = run_campaign(oracle, 0, 200, 1);
     assert!(
         !report.failures.is_empty(),
-        "fault-delta-window is compiled in but {} seeds passed clean",
+        "{fault} is compiled in but {} seeds passed clean",
         report.seeds_run
     );
     let found = &report.failures[0];

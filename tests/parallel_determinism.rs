@@ -132,9 +132,19 @@ fn demand_work<T>(query: &PreparedQuery, obs: &Obs, call: impl FnOnce() -> T) ->
     (out, format!("query {per_atom:?} registry {registry:?}"))
 }
 
+/// The session's `session.lower_bound.*` registry counters.
+fn lower_bound_counters(obs: &Obs) -> [u64; 2] {
+    let reg = obs.registry().expect("enabled obs");
+    [
+        reg.counter("session.lower_bound.proven"),
+        reg.counter("session.lower_bound.fallback"),
+    ]
+}
+
 /// End-to-end session pin: representative, solution stream order, chase
-/// stats, certain answers, certain probes and pairs, and the demand work
-/// counted for the probes all coincide at 1 and 4 workers.
+/// stats, certain answers, certain probes and pairs, the demand work
+/// counted for a family-scanning probe, and the lower-bound counters all
+/// coincide at 1 and 4 workers.
 #[test]
 fn session_outputs_identical_across_worker_counts() {
     let setting = Setting::example_2_2_egd();
@@ -152,14 +162,15 @@ fn session_outputs_identical_across_worker_counts() {
         let mut s = ExchangeSession::new(setting.clone(), instance.clone())
             .with_options(Options::default().with_threads(Threads::Fixed(workers)))
             .with_obs(obs.clone());
-        let rep = match s.representative().unwrap() {
+        let representative = match s.representative().unwrap() {
             gdx::exchange::representative::RepresentativeOutcome::Representative(rep) => {
-                rep.pattern.to_string()
+                rep.clone()
             }
             gdx::exchange::representative::RepresentativeOutcome::ChaseFailed => {
-                "CHASE FAILED".to_owned()
+                panic!("Example 2.2 chases successfully")
             }
         };
+        let rep = representative.pattern.to_string();
         let sols: Vec<String> = s
             .solutions()
             .unwrap()
@@ -170,14 +181,37 @@ fn session_outputs_identical_across_worker_counts() {
         let ((rows, exact), answers_work) =
             demand_work(&q, &obs, || s.certain_answers(&q).unwrap());
         let answers = format!("{rows:?} exact={exact}");
-        // A certain answer, asked back as a constants-only probe: it holds
-        // in every solution, so every worker count probes the whole family
-        // and must count the same demand work.
+        // A certain answer, asked back as a constants-only probe: the
+        // pattern proves it, so it is answered before any family scan.
         let (c1, c2) = (rows[0][0].name(), rows[0][1].name());
-        let probe = PreparedQuery::parse(&format!(
+        let proven = PreparedQuery::parse(&format!(
             "(\"{}\", f.f*.[h].f-.(f-)*, \"{}\")",
             c1.as_str(),
             c2.as_str()
+        ))
+        .unwrap();
+        let (proven_verdict, proven_work) =
+            demand_work(&proven, &obs, || s.certain(&proven).unwrap());
+        assert!(proven_verdict.is_certain(), "the pattern proves the pair");
+        // A trip of three or more `f` steps between two cities holds in
+        // every solution once the cities connect through a third one, but
+        // its proof needs four pattern edges (city, stop, city, stop,
+        // city), past the lower bound's path bound. So every worker count
+        // probes the whole family for it and must count the same demand
+        // work.
+        let reach = PreparedQuery::parse("(x, f.f*.f.f*.f.f*, y)").unwrap();
+        let (reach_rows, _) = s.certain_answers(&reach).unwrap();
+        let lower = representative
+            .certain_answer_lower_bound(reach.cnre(), s.options())
+            .unwrap();
+        let unproven = reach_rows
+            .iter()
+            .find(|row| !lower.contains(row))
+            .expect("the fixture has a certain connection the pattern does not prove");
+        let probe = PreparedQuery::parse(&format!(
+            "(\"{}\", f.f*.f.f*.f.f*, \"{}\")",
+            unproven[0].name().as_str(),
+            unproven[1].name().as_str()
         ))
         .unwrap();
         let (verdict, probe_work) = demand_work(&probe, &obs, || s.certain(&probe).unwrap());
@@ -190,7 +224,11 @@ fn session_outputs_identical_across_worker_counts() {
             .unwrap()
             .visited;
         assert!(visited > 0, "the probe took the demand path");
-        let probe = format!("{verdict:?} {answers_work} {probe_work}");
+        let probe = format!(
+            "{proven_verdict:?} {proven_work} {verdict:?} {answers_work} {probe_work} \
+             lower bound {:?}",
+            lower_bound_counters(&obs)
+        );
         let r = gdx::nre::parse::parse_nre("f.f*").unwrap();
         let pair = format!(
             "{:?}/{:?}",
@@ -206,7 +244,10 @@ fn session_outputs_identical_across_worker_counts() {
     assert_eq!(one.2, four.2, "ChaseStats");
     assert_eq!(one.3, four.3, "certain_answers rows + exactness");
     assert_eq!(one.4, four.4, "certain_pair verdicts");
-    assert_eq!(one.5, four.5, "certain probe verdict and demand counters");
+    assert_eq!(
+        one.5, four.5,
+        "certain probe verdicts, demand and lower-bound counters"
+    );
 }
 
 /// Observability must be inert: the same session fingerprint as
@@ -404,12 +445,18 @@ fn multi_solution_family_certainty_is_identical_across_worker_counts() {
             CertainAnswer::NotCertain(g) => format!("not-certain:\n{g}"),
             other => format!("{other:?}"),
         };
-        // A certain probe the planner serves by product-BFS (the plain
-        // `a` probe materializes on graphs this small): every worker count
+        // A probe that holds in every solution, served by product-BFS
+        // (the plain `a` probe materializes on graphs this small). Its
+        // `svc` test holds by the target tgd, which the pattern does not
+        // see, so the lower bound cannot prove it: every worker count
         // probes the whole family and must count the same demand work.
-        let star = PreparedQuery::parse("(\"c1\", a*, \"c2\")").unwrap();
-        let (star_certain, star_work) =
-            demand_work(&star, &obs, || s.certain(&star).unwrap().is_certain());
+        let star = PreparedQuery::parse("(\"c1\", a*.[svc], \"c2\")").unwrap();
+        let (star_verdict, star_work) = demand_work(&star, &obs, || s.certain(&star).unwrap());
+        assert!(
+            !matches!(star_verdict, CertainAnswer::NotCertain(_)),
+            "every solution satisfies the starred probe"
+        );
+        let star_certain = format!("{star_verdict:?}");
         let visited = star
             .demand_stats(&star.cnre().atoms[0].nre)
             .unwrap()
@@ -421,6 +468,7 @@ fn multi_solution_family_certainty_is_identical_across_worker_counts() {
             counterexample,
             format!("{rows:?} exact={exact}"),
             format!("{star_certain} {answers_work} {star_work}"),
+            lower_bound_counters(&obs),
         )
     };
     assert_eq!(run(1), run(4));

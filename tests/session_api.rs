@@ -110,20 +110,22 @@ fn tgd_step_bound_is_observed() {
 fn planner_mode_is_observed_by_certain_queries() {
     let setting = Setting::example_2_2_egd();
     let instance = Instance::example_2_2();
-    let probe = PreparedQuery::parse("(\"c1\", f.f*, \"c2\")").unwrap();
+    // The pattern proves (c1, c2) before any family scan, so the planner
+    // is observed on the reversed pair: refuting it scans the family.
+    let probe = PreparedQuery::parse("(\"c2\", f.f*, \"c1\")").unwrap();
     let r = gdx::nre::parse::parse_nre("f.f*").unwrap();
 
     // Auto planner: the constants-only probe runs by seeded product-BFS,
     // so the prepared query's demand evaluator records visits.
     let mut auto = ExchangeSession::new(setting.clone(), instance.clone());
-    auto.certain(&probe).unwrap();
+    let auto_verdict = auto.certain(&probe).unwrap();
     assert!(
         probe.demand_stats(&r).unwrap().visited > 0,
         "Auto mode must route the probe through the demand evaluator"
     );
 
     // Materialize mode: the same probe must never touch the demand path.
-    let probe2 = PreparedQuery::parse("(\"c1\", f.f*, \"c2\")").unwrap();
+    let probe2 = PreparedQuery::parse("(\"c2\", f.f*, \"c1\")").unwrap();
     let mut mat = ExchangeSession::new(setting, instance)
         .with_options(Options::default().with_planner(gdx::query::PlannerMode::Materialize));
     let verdict = mat.certain(&probe2).unwrap();
@@ -132,9 +134,12 @@ fn planner_mode_is_observed_by_certain_queries() {
         0,
         "Materialize mode must not probe the demand evaluator"
     );
-    // And both modes agree on the verdict.
-    assert!(verdict.is_certain());
-    assert!(auto.certain(&probe).unwrap().is_certain());
+    // And both modes agree on the verdicts, refuted and proven.
+    assert!(matches!(verdict, CertainAnswer::NotCertain(_)));
+    assert!(matches!(auto_verdict, CertainAnswer::NotCertain(_)));
+    let certain = PreparedQuery::parse("(\"c1\", f.f*, \"c2\")").unwrap();
+    assert!(mat.certain(&certain).unwrap().is_certain());
+    assert!(auto.certain(&certain).unwrap().is_certain());
 }
 
 #[test]
