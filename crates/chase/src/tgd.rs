@@ -90,8 +90,8 @@ impl Default for TgdChaseConfig {
     }
 }
 
-/// Evaluation-effort counters, for regression tests and the scaling bench
-/// (naive vs semi-naive). `PartialEq` so determinism tests can pin the
+/// Evaluation-effort counters, for regression tests comparing naive and
+/// semi-naive evaluation. `PartialEq` so determinism tests can pin the
 /// N-worker counters against the 1-worker run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaseStats {

@@ -2,10 +2,10 @@
 //! deterministic renderer.
 //!
 //! The workspace is network-less, so there is no serde; every layer that
-//! speaks JSON — the `bench_gate` perf-trajectory reports, the
-//! `gdx-server` wire protocol, the observability dumps — hand-rolls the
-//! same ~150 lines. This module is the single shared copy. Three design
-//! points keep it honest for all of them:
+//! speaks JSON — the `gdx-server` wire protocol, the observability
+//! dumps — would otherwise hand-roll the same ~150 lines. This module is
+//! the single shared copy. Three design points keep it honest for all of
+//! them:
 //!
 //! * **Objects preserve insertion order** (`Vec<(String, Json)>`, not a
 //!   hash map), so parse → render round-trips are byte-stable and the

@@ -19,7 +19,7 @@
 //!   workspace (relational instances, graphs, NREs, mapping DSL, DIMACS is
 //!   separate).
 //! * [`json`] — a minimal order-preserving JSON value with parser and
-//!   deterministic renderer, shared by the bench reports and the
+//!   deterministic renderer, shared by the observability dumps and the
 //!   `gdx-server` wire protocol (the workspace carries no serde).
 //! * [`GdxError`] — the workspace-wide error type.
 

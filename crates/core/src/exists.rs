@@ -128,8 +128,7 @@ pub fn repair_egds(graph: &Graph, egds: &[Egd]) -> Result<Option<Graph>> {
 
 /// Variant of [`repair_egds`] driven by a union-find, merging *all*
 /// violations found in one evaluation round before re-evaluating —
-/// noticeably faster on patterns with many parallel violations. Used by
-/// the benchmark harness as an ablation (B5).
+/// noticeably faster on patterns with many parallel violations.
 pub fn repair_egds_batched(graph: &Graph, egds: &[Egd]) -> Result<Option<Graph>> {
     let mut g = graph.clone();
     if repair_egds_in_place(&mut g, egds)? {

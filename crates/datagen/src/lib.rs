@@ -125,9 +125,8 @@ pub fn flights_hotels(p: FlightsHotelsParams, rng: &mut StdRng) -> Instance {
 /// A depth-`k` chain of target tgds over fresh labels `l0 … lk`: every
 /// `h`-edge demands an `l0`-successor, and every `l{i}`-edge an
 /// `l{i+1}`-successor (`i < k-1`). Chasing a Flight/Hotel graph with this
-/// set takes `k` rounds of cascading firings — the workload the
-/// `chase_scaling` bench uses to compare the naive round-robin chase
-/// against the semi-naive worklist engine.
+/// set takes `k` rounds of cascading firings — a workload on which the
+/// naive round-robin chase and the semi-naive worklist engine differ.
 // The tgd bodies/heads are static templates that parse by construction.
 #[allow(clippy::expect_used)]
 pub fn chain_target_tgds(depth: usize) -> Vec<TargetTgd> {

@@ -2,8 +2,8 @@
 //!
 //! The build environment is offline, so the linter cannot lean on syn or
 //! rustc internals; instead it hand-rolls just enough lexing to be
-//! line-, comment- and string-aware (the same idiom as `bench_gate`'s
-//! recursive-descent JSON reader). The scanner produces a flat token
+//! line-, comment- and string-aware (the same idiom as the
+//! recursive-descent JSON reader in `gdx_common::json`). The scanner produces a flat token
 //! stream — identifiers, single-char punctuation, literals — plus the
 //! list of `//` line comments, which is where the allow/expect/SAFETY
 //! annotations live. Block comments (nested, per Rust), string literals

@@ -19,12 +19,12 @@
 //!   sorted within the next few lines). Hash order must never leak into
 //!   outputs.
 //! * `wall-clock` — `Instant::now`/`SystemTime::now` outside
-//!   `cli`/`bench`/`sim` and gdx-obs's clock module (the one sanctioned
+//!   `cli`/`sim` and gdx-obs's clock module (the one sanctioned
 //!   wall-clock wrapper): library results must be functions of their
 //!   inputs.
 //! * `clock-inject` — constructing `MonotonicClock` in a library crate:
 //!   time flows in through an injected `gdx_obs::Clock` (`&dyn Clock` /
-//!   `Arc<dyn Clock>`); only entry points (cli/bench/sim) decide which
+//!   `Arc<dyn Clock>`); only entry points (cli/sim) decide which
 //!   clock runs, so library behaviour stays replayable.
 //! * `thread-spawn` — `thread::spawn`/`thread::scope` outside
 //!   `gdx-runtime`: all parallelism goes through the deterministic pool.
@@ -242,8 +242,8 @@ impl Report {
 pub enum CrateKind {
     /// Library contract applies in full (determinism + panic hygiene).
     Library,
-    /// Front-end / harness crates (`gdx-cli`, `gdx-bench`, `gdx-lint`):
-    /// may panic, print and take wall-clock time.
+    /// Front-end / tooling crates (`gdx-cli`, `gdx-lint`): may panic,
+    /// print and take wall-clock time.
     Tool,
 }
 

@@ -3,12 +3,12 @@
 //!
 //! The build environment is offline; every external crate the workspace
 //! "uses" is really a minimal API-compatible stand-in under `shims/`
-//! (rand, proptest, criterion). A dependency line pointing at crates.io
+//! (rand, proptest). A dependency line pointing at crates.io
 //! or a git URL would build on a developer laptop and then break CI —
 //! this rule turns that into an immediate lint error instead.
 //!
 //! The parser is a deliberately small line-oriented TOML subset (the
-//! same no-deps idiom as `bench_gate`'s JSON reader): section headers,
+//! same no-deps idiom as the `gdx_common::json` reader): section headers,
 //! `name = "version"` strings and `name = { key = value, ... }` inline
 //! tables are all the shape a Cargo manifest dependency section has.
 

@@ -379,7 +379,7 @@ fn check_wall_clock(toks: &[Tok<'_>], out: &mut Vec<(Rule, u32, String)>) {
                 t.line,
                 format!(
                     "`{}::now()` in a library crate: results must be functions of inputs, \
-                     not of the clock (time only in cli/bench/sim)",
+                     not of the clock (time only in cli/sim)",
                     t.text
                 ),
             ));
@@ -398,7 +398,7 @@ fn check_clock_inject(toks: &[Tok<'_>], out: &mut Vec<(Rule, u32, String)>) {
                 t.line,
                 "`MonotonicClock` constructed in a library crate: take an injected \
                  `gdx_obs::Clock` (`&dyn Clock` / `Arc<dyn Clock>`) instead — only entry \
-                 points (cli/bench/sim) decide which clock runs"
+                 points (cli/sim) decide which clock runs"
                     .to_owned(),
             ));
         }
@@ -967,7 +967,7 @@ mod tests {
     fn wall_clock_fires_and_tool_crates_are_exempt() {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(lint_lib(src), vec![(Rule::WallClock, 1)]);
-        let tool = lint_source("t.rs", src, &FileCtx::tool("gdx-bench"));
+        let tool = lint_source("t.rs", src, &FileCtx::tool("gdx-cli"));
         assert!(tool.diagnostics.is_empty());
     }
 

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 /// Crates allowed to panic, print and read the clock: user-facing
 /// front ends and measurement/tooling harnesses. Everything else is
 /// held to the full library contract.
-const TOOL_CRATES: &[&str] = &["gdx-cli", "gdx-bench", "gdx-lint"];
+const TOOL_CRATES: &[&str] = &["gdx-cli", "gdx-lint"];
 
 /// Walks upward from `start` to the directory whose `Cargo.toml`
 /// declares `[workspace]`.
@@ -193,13 +193,13 @@ mod tests {
 [workspace]
 members = [
     \"crates/automata\",
-    \"crates/bench\", # comment
+    \"crates/chase\", # comment
     \"shims/rand\",
 ]
 ";
         assert_eq!(
             parse_members(text),
-            vec!["crates/automata", "crates/bench", "shims/rand"]
+            vec!["crates/automata", "crates/chase", "shims/rand"]
         );
     }
 

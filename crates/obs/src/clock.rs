@@ -9,8 +9,8 @@
 //!
 //! * [`NoopClock`] — always `0`. The default everywhere; also what the
 //!   CLI uses so `--metrics` dumps are byte-stable across runs.
-//! * [`MonotonicClock`] — real elapsed time, for `gdx-bench` and other
-//!   leaf binaries that genuinely measure wall-clock.
+//! * [`MonotonicClock`] — real elapsed time, for the server's process
+//!   edge and other leaf binaries that genuinely measure wall-clock.
 //! * [`VirtualClock`] — a manually-advanced counter for `gdx-sim` and
 //!   tests, so simulated time is deterministic and replayable.
 //!
@@ -46,7 +46,7 @@ impl Clock for NoopClock {
 }
 
 /// Real elapsed time from [`Instant`], anchored at construction. Only
-/// leaf binaries (cli, bench) should construct one; library crates
+/// leaf binaries (cli, the server's process edge) should construct one; library crates
 /// accept whatever the caller injected.
 #[derive(Debug)]
 pub struct MonotonicClock {

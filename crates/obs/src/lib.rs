@@ -46,7 +46,7 @@ struct ObsCore {
 /// Cheap to clone (an `Option<Arc>`), disabled by default, and safe to
 /// hand to any thread. All recording methods are no-ops on a disabled
 /// handle — no allocation, no locking, no branching beyond one
-/// `Option` check — which the alloc-count guard in `gdx-bench` pins.
+/// `Option` check — which the root `alloc_count` test pins.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     core: Option<Arc<ObsCore>>,

@@ -4,15 +4,15 @@
 //! last-write-wins **gauges**, and fixed-boundary **histograms** — all
 //! keyed by `&'static str` names and stored in `BTreeMap`s so every
 //! rendering walks the same sorted order. Rendering is hand-rolled
-//! text and JSON in the `bench_gate`/`gdx-lint` house style: no
+//! text and JSON in the `gdx_common::json`/`gdx-lint` house style: no
 //! serialization dependency, stable field order, nothing that varies
 //! run-to-run unless the recorded values themselves do.
 //!
 //! Histogram bucket boundaries are fixed at construction
 //! ([`DEFAULT_BOUNDS`]: powers of four up to ~1M, good for both
 //! row-counts and microsecond durations) so two dumps are always
-//! bucket-compatible — the property `bench_gate`-style differs rely
-//! on.
+//! bucket-compatible — the property dump differs (such as the root
+//! `metrics_dump` test) rely on.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};

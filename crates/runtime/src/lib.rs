@@ -49,8 +49,8 @@
 //! call — and the consumers gated on [`Runtime::is_parallel`], like the
 //! chase's speculative head pre-filter and the join's parallel outer
 //! loop — takes the inline sequential path instead of paying thread and
-//! speculation overhead that cannot be bought back (the PR-4 bench
-//! recorded 0.91× on exactly that configuration). One worker (or input
+//! speculation overhead that cannot be bought back (0.91× was once
+//! measured on exactly that configuration). One worker (or input
 //! below the caller's granularity threshold) short-circuits to an inline
 //! sequential loop — no threads, no locks, no overhead. Tests that must
 //! exercise real thread interleavings regardless of the host use

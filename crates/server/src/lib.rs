@@ -77,7 +77,7 @@ pub struct ServerConfig {
     /// Connection-serving worker threads.
     pub workers: usize,
     /// Warm-session pool capacity. `0` disables pooling entirely: every
-    /// request builds a cold session (the bench baseline).
+    /// request builds a cold session (the session-per-request baseline).
     pub max_sessions: usize,
     /// Accepted connections waiting for a worker beyond those already
     /// being served. A full queue answers `429 Too Many Requests`.

@@ -5,8 +5,10 @@
 //! request is memoized *on* it: the parsed setting and instance, the
 //! chased universal representative, the verified minimal-solution
 //! family, per-graph evaluation caches, compiled probe queries. A pool
-//! hit answers repeat traffic at evaluation cost only — the measured
-//! warm/cold gap is the tentpole number of `bench_server`.
+//! hit answers repeat traffic at evaluation cost only: the e2e test
+//! `warm_pool_chases_once_and_cold_server_chases_per_request` pins that a
+//! pooled session chases once, and perfbench's `serve` workload reports
+//! the hit share.
 //!
 //! Identity is the full `(setting text, instance text, options
 //! fingerprint)` triple — texts compared by value, never by hash alone,
@@ -78,7 +80,8 @@ struct PoolInner {
 }
 
 /// LRU pool of warm sessions. `capacity == 0` disables pooling: every
-/// checkout builds a fresh cold session (the bench baseline mode).
+/// checkout builds a fresh cold session (the session-per-request
+/// baseline).
 pub struct SessionPool {
     inner: Mutex<PoolInner>,
     capacity: usize,

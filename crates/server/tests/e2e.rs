@@ -526,3 +526,61 @@ fn deadlines_degrade_to_inexact_and_resume_on_the_warm_session() {
     );
     server.stop();
 }
+
+/// The warm pool's reason to exist, pinned on work counters rather than
+/// wall clock: K repeat requests on a pooled server are served by one
+/// session (one miss, then hits) whose s-t chase runs once, while a
+/// `max_sessions = 0` server builds and chases a fresh session per
+/// request.
+#[test]
+fn warm_pool_chases_once_and_cold_server_chases_per_request() {
+    const K: u64 = 6;
+    let requests = [
+        ("/v1/certain", r#"("c1", f.f*, "c2")"#),
+        ("/v1/certain_answers", "(x, f.f*, y)"),
+    ];
+    let drive = |cold: bool| {
+        let obs = noop_obs();
+        let server = boot(|c| {
+            if cold {
+                c.max_sessions = 0;
+            }
+            c.obs = obs.clone();
+        });
+        let mut bodies: Vec<Vec<u8>> = Vec::new();
+        for i in 0..K as usize {
+            let (path, query) = requests[i % requests.len()];
+            let got = post(server.addr(), path, vec![("query", json::s(query))]);
+            assert_eq!(got.status, 200, "{}", String::from_utf8_lossy(&got.body));
+            bodies.push(got.body);
+        }
+        server.stop();
+        let registry = obs.registry().unwrap();
+        let st_chases = registry
+            .snapshot()
+            .histograms
+            .iter()
+            .find(|(name, _)| *name == "session.phase.st_chase_us")
+            .map_or(0, |(_, h)| h.count);
+        let pool = |name: &str| registry.counter(name);
+        (
+            [
+                pool("server.pool.hits"),
+                pool("server.pool.misses"),
+                pool("server.pool.bypass"),
+            ],
+            st_chases,
+            bodies,
+        )
+    };
+
+    let (warm_pool, warm_chases, warm_bodies) = drive(false);
+    assert_eq!(warm_pool, [K - 1, 1, 0], "warm [hits, misses, bypass]");
+    assert_eq!(warm_chases, 1, "a warm session chases once");
+
+    let (cold_pool, cold_chases, cold_bodies) = drive(true);
+    assert_eq!(cold_pool, [0, 0, K], "cold [hits, misses, bypass]");
+    assert_eq!(cold_chases, K, "a cold server chases per request");
+
+    assert_eq!(warm_bodies, cold_bodies, "pooling must not change answers");
+}

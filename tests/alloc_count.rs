@@ -2,19 +2,23 @@
 //!
 //! Counts heap allocations (via a counting wrapper around the system
 //! allocator) performed by the 500-flight paper-query evaluation workload:
-//! one cold seeded image enumeration (the `chase_scaling/demand_driven`
-//! bench shape) plus a sweep of constant-pair membership probes (the
-//! `exists_egd/demand_driven` shape). Allocation count, unlike wall time,
-//! is deterministic per build, so it makes a sharp CI guard: the PR-5 data
-//! plane (frozen CSR snapshots, arena-backed `BinRel` adjacency, reusable
-//! bitset scratch in the product-BFS) must keep the count at ≤ 25% of what
-//! the PR-4 hash-map data plane allocated on the same workload.
+//! one cold seeded image enumeration plus a sweep of constant-pair
+//! membership probes. Allocation count, unlike wall time, is
+//! deterministic per build, so it makes a sharp guard: the cache-conscious
+//! data plane (frozen CSR snapshots, arena-backed `BinRel` adjacency,
+//! reusable bitset scratch in the product-BFS) must keep the count at
+//! ≤ 25% of what the earlier hash-map data plane allocated on the same
+//! workload.
 //!
-//! At PR 4 the count was dominated by one boxed row plus one dedup clone
-//! per answer (1096 answers here) and per-BFS hash sets; the flat
-//! row-major `NodeBindings` and the evaluator's reusable scratch remove
-//! both, which is what the budget polices.
+//! The hash-map data plane's count was dominated by one boxed row plus one
+//! dedup clone per answer (1096 answers here) and per-BFS hash sets; the
+//! flat row-major `NodeBindings` and the evaluator's reusable scratch
+//! remove both, which is what the budget polices.
+//!
+//! The counting allocator is this test binary's `#[global_allocator]`;
+//! every other test binary keeps the system allocator.
 
+use gdx::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -61,18 +65,41 @@ fn allocations_during(body: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// The PR-4 data plane allocated this many times on this exact workload
-/// (measured with this harness at the PR-4 tree; the PR-5 data plane
-/// measures 381 on the same build profile — 12.9%).
-const PR4_ALLOCATIONS: u64 = 2962;
+/// The paper's query from Example 2.2.
+const PAPER_QUERY: &str = "f.f*.[h].f-.(f-)*";
+
+/// The instantiated chase graph of a Flight/Hotel instance with
+/// `flights` flights over `flights/5` cities and hotels (seed 42).
+fn paper_flight_graph(flights: usize) -> Graph {
+    use gdx::chase::{chase_st, StChaseVariant};
+    use gdx::datagen::{flights_hotels, rng, FlightsHotelsParams};
+    let inst = flights_hotels(
+        FlightsHotelsParams {
+            flights,
+            cities: (flights / 5).max(4),
+            hotels: flights / 5,
+            stays_per_flight: 2,
+        },
+        &mut rng(42),
+    );
+    let st = chase_st(
+        &inst,
+        &Setting::example_2_2_egd(),
+        StChaseVariant::Oblivious,
+    )
+    .expect("st chase");
+    gdx::pattern::instantiate_shortest(&st.pattern).expect("instantiation")
+}
+
+/// The hash-map data plane allocated this many times on this exact
+/// workload (measured with this harness; the frozen-CSR data plane
+/// measured 381 on the same build profile when it replaced it — 12.9%).
+const HASH_PLANE_ALLOCATIONS: u64 = 2962;
 
 #[test]
 fn paper_query_eval_allocation_budget() {
-    use gdx_bench::{paper_flight_graph, PAPER_QUERY};
-    use gdx_common::{FxHashMap, Symbol};
-    use gdx_graph::Node;
-    use gdx_nre::eval::EvalCache;
-    use gdx_query::{Cnre, PreparedQuery};
+    use gdx::common::FxHashMap;
+    use gdx::nre::eval::EvalCache;
 
     let query = Cnre::parse(&format!("(x, {PAPER_QUERY}, y)")).expect("static query");
     let g = paper_flight_graph(500);
@@ -84,8 +111,7 @@ fn paper_query_eval_allocation_budget() {
     seed.insert(Symbol::new("x"), city(0));
 
     // One throwaway evaluation first: interning, lazy statics and the
-    // graph's frozen snapshot warm up outside the measured window, exactly
-    // like the bench harness's warm-up run.
+    // graph's frozen snapshot warm up outside the measured window.
     let prepared = PreparedQuery::new(query);
     let mut warmup_cache = EvalCache::new();
     let warm = prepared
@@ -93,10 +119,9 @@ fn paper_query_eval_allocation_budget() {
         .expect("eval");
     assert!(!warm.is_empty(), "paper query has answers from city0");
 
-    // Cold-cache semantics per sample, matching the bench: caches (and
-    // their demand evaluators' memo tables) are rebuilt inside the
-    // measured window; only the prepared query's compiled automata are
-    // warm, as they are for every bench sample.
+    // Cold-cache semantics: caches (and their demand evaluators' memo
+    // tables) are rebuilt inside the measured window; only the prepared
+    // query's compiled automata are warm.
     let count = allocations_during(|| {
         let mut cache = EvalCache::new();
         let b = prepared
@@ -120,11 +145,13 @@ fn paper_query_eval_allocation_budget() {
     });
 
     eprintln!(
-        "500-flight paper-query eval workload: {count} allocations (PR-4: {PR4_ALLOCATIONS})"
+        "500-flight paper-query eval workload: {count} allocations \
+         (hash-map data plane: {HASH_PLANE_ALLOCATIONS})"
     );
     assert!(
-        count * 4 <= PR4_ALLOCATIONS,
-        "data-plane regression: {count} allocations > 25% of the PR-4 count {PR4_ALLOCATIONS}"
+        count * 4 <= HASH_PLANE_ALLOCATIONS,
+        "data-plane regression: {count} allocations > 25% of the hash-map data plane's \
+         {HASH_PLANE_ALLOCATIONS}"
     );
 }
 
@@ -135,13 +162,9 @@ fn paper_query_eval_allocation_budget() {
 /// (bit-identical count, not merely "close").
 #[test]
 fn disabled_observability_allocates_nothing() {
-    use gdx_bench::{paper_flight_graph, PAPER_QUERY};
-    use gdx_common::{FxHashMap, Symbol};
-    use gdx_graph::Node;
-    use gdx_nre::eval::EvalCache;
-    use gdx_obs::Obs;
-    use gdx_query::{Cnre, PlannerMode, PreparedQuery};
-    use gdx_runtime::Runtime;
+    use gdx::common::FxHashMap;
+    use gdx::nre::eval::EvalCache;
+    use gdx::query::PlannerMode;
 
     // (1) The handle itself: every recording entry point early-returns
     // without touching the heap when the core is absent.
@@ -196,18 +219,15 @@ fn disabled_observability_allocates_nothing() {
     );
 }
 
-/// Candidate-sweep guard for the PR-6 copy-on-write forks: emitting a
+/// Candidate-sweep guard for the copy-on-write forks: emitting a
 /// K-candidate family as forks of a shared sealed base must allocate
 /// sublinearly in base size — a small constant per candidate — where the
-/// PR-5 baseline (`Graph::clone` per candidate) allocates one heap block
+/// eager baseline (`Graph::clone` per candidate) allocates one heap block
 /// per adjacency bucket of the base, i.e. thousands per candidate at 500
 /// flights. Each candidate also receives a small private delta, matching
 /// the witness-variation shape of `InstantiationFamily`.
 #[test]
 fn candidate_family_allocation_budget() {
-    use gdx_bench::paper_flight_graph;
-    use gdx_graph::Graph;
-
     const K: usize = 16;
 
     /// The per-candidate delta: two fresh nodes and three edges, like a

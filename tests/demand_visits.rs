@@ -1,18 +1,18 @@
 //! Regression: on a datagen Flight/Hotel instance, the demand-driven
 //! access path behind a seeded certain-answer check explores a small
 //! fraction (≤ 10%) of the `(node, state)` product space that full
-//! materialization enumerates — the asymptotic claim of the PR-2
-//! evaluator, pinned as a test via the [`DemandStats`] visit counter.
+//! materialization enumerates — the asymptotic claim of the demand
+//! evaluator, pinned as a test via the `DemandStats` visit counter.
 
-use gdx_chase::{chase_st, StChaseVariant};
-use gdx_common::FxHashSet;
-use gdx_datagen::{flights_hotels, rng, FlightsHotelsParams};
-use gdx_graph::{Node, NodeId};
-use gdx_mapping::Setting;
-use gdx_nre::demand::DemandEvaluator;
-use gdx_nre::eval::EvalCache;
-use gdx_nre::parse::parse_nre;
-use gdx_query::{PlannerMode, PreparedQuery};
+use gdx::chase::{chase_st, StChaseVariant};
+use gdx::common::FxHashSet;
+use gdx::datagen::{flights_hotels, rng, FlightsHotelsParams};
+use gdx::graph::{Node, NodeId};
+use gdx::mapping::Setting;
+use gdx::nre::demand::DemandEvaluator;
+use gdx::nre::eval::EvalCache;
+use gdx::nre::parse::parse_nre;
+use gdx::query::{PlannerMode, PreparedQuery};
 
 #[test]
 fn seeded_certain_check_visits_under_ten_percent() {
@@ -28,7 +28,7 @@ fn seeded_certain_check_visits_under_ten_percent() {
         &mut rng(7),
     );
     let st = chase_st(&inst, &setting, StChaseVariant::Oblivious).expect("st chase");
-    let g = gdx_pattern::instantiate_shortest(&st.pattern).expect("instantiation");
+    let g = gdx::pattern::instantiate_shortest(&st.pattern).expect("instantiation");
     let r = parse_nre("f.f*.[h].f-.(f-)*").expect("paper query");
 
     // What full materialization enumerates, measured in the same unit:

@@ -123,6 +123,7 @@ fn e4_figure_3_pattern_and_instantiations() {
     // Same shape up to null renaming: compare via mutual pattern stats and
     // canonical instantiation isomorphism.
     assert_eq!(st.pattern.node_count(), fig3.node_count());
+    assert_eq!(st.pattern.null_count(), fig3.null_count());
     assert_eq!(st.pattern.edge_count(), fig3.edge_count());
     let a = gdx::pattern::instantiate_shortest(&st.pattern).unwrap();
     let b = gdx::pattern::instantiate_shortest(&fig3).unwrap();
@@ -170,6 +171,10 @@ fn e9_example_5_2_chase_succeeds_but_no_solution() {
     ));
     let ex = session.solution_exists().unwrap();
     assert!(!ex.exists(), "Example 5.2 has no solution; got {ex:?}");
+    // The Figure 6(b) graph satisfies the s-t tgds, but the egd would
+    // have to equate the constants c1 and c2: not a solution.
+    let fig6b = Graph::parse("(c1, a, _N); (_N, a, c2);").unwrap();
+    assert!(!session.is_solution(&fig6b).unwrap());
 }
 
 #[test]

@@ -2,7 +2,10 @@
 //! constraint enforcement → solution checking, on settings exercising
 //! every constraint kind, plus generated-workload smoke tests.
 
-use gdx::chase::{chase_st, is_weakly_acyclic, StChaseVariant};
+use gdx::chase::{
+    chase_egds_on_pattern, chase_st, is_weakly_acyclic, EgdChaseConfig, EgdChaseOutcome,
+    StChaseVariant,
+};
 use gdx::datagen::{flights_hotels, rng, FlightsHotelsParams};
 use gdx::exchange::exists::construct_solution_no_egds;
 use gdx::prelude::*;
@@ -124,6 +127,35 @@ fn chase_variants_produce_equivalent_representatives() {
     for pattern in [&obl.pattern, &res.pattern] {
         let g = gdx::pattern::instantiate_shortest(pattern).unwrap();
         assert!(gdx::exchange::solution::st_tgds_satisfied(&inst, &setting, &g).unwrap());
+    }
+
+    // The egd phase over growing instances: the s-t pattern grows with
+    // the input, hotels shared between flights force merges, and merging
+    // never adds nodes.
+    let egds: Vec<_> = setting.egds().cloned().collect();
+    let mut last_edges = 0;
+    for flights in [50usize, 100] {
+        let inst = flights_hotels(
+            FlightsHotelsParams {
+                flights,
+                cities: flights / 5,
+                hotels: flights / 5,
+                stays_per_flight: 2,
+            },
+            &mut rng(11),
+        );
+        let st = chase_st(&inst, &setting, StChaseVariant::Oblivious).unwrap();
+        assert!(st.pattern.edge_count() > last_edges);
+        last_edges = st.pattern.edge_count();
+        let out = chase_egds_on_pattern(&st.pattern, &egds, EgdChaseConfig::default()).unwrap();
+        let EgdChaseOutcome::Success { pattern, merges } = out else {
+            panic!("{flights} flights: the egd chase failed");
+        };
+        assert!(
+            merges > 0,
+            "{flights} flights: shared hotels must force merges"
+        );
+        assert!(pattern.node_count() <= st.pattern.node_count());
     }
 }
 

@@ -28,12 +28,14 @@ fn session_for(red: &Reduction, n: u32) -> ExchangeSession {
 #[test]
 fn e5_randomized_existence_agreement() {
     // 3 sizes × 3 ratios × 3 seeds, all three backends vs brute force.
+    let mut satisfiable_at = [0usize; 3];
     for n in [4u32, 5, 6] {
-        for ratio in [2.0f64, 4.3, 6.0] {
+        for (r, ratio) in [2.0f64, 4.3, 6.0].into_iter().enumerate() {
             let m = ((n as f64) * ratio).round() as usize;
             for seed in 0..3u64 {
                 let cnf = random_3cnf(n, m, &mut rng(seed * 31 + n as u64));
                 let truth = brute_force(&cnf).is_some();
+                satisfiable_at[r] += usize::from(truth);
                 let red = Reduction::from_cnf(&cnf, ReductionFlavor::Egd).unwrap();
 
                 let search = session_for(&red, n).solution_exists().unwrap();
@@ -56,6 +58,12 @@ fn e5_randomized_existence_agreement() {
             }
         }
     }
+    // Below the satisfiability threshold formulas are satisfiable at
+    // least as often as above it.
+    assert!(
+        satisfiable_at[0] >= satisfiable_at[2],
+        "satisfiable per ratio: {satisfiable_at:?}"
+    );
 }
 
 #[test]
