@@ -1,14 +1,18 @@
 //! Property-based tests for the chase engines on randomly generated
 //! instances and patterns.
 
+use gdx_chase::egd_pattern::{certain_matches, EntailmentIndex};
 use gdx_chase::{chase_egds_on_pattern, chase_st, EgdChaseConfig, EgdChaseOutcome, StChaseVariant};
 use gdx_common::Symbol;
 use gdx_graph::Node;
 use gdx_mapping::{Egd, Setting};
-use gdx_pattern::{instantiate_shortest, GraphPattern};
+use gdx_nre::parse::parse_nre;
+use gdx_nre::Nre;
+use gdx_pattern::{instantiate_shortest, GraphPattern, PNodeId};
 use gdx_query::Cnre;
 use gdx_relational::Instance;
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 /// Random Flight/Hotel instances for the paper's Example 2.2 setting.
 fn arb_instance() -> impl Strategy<Value = Instance> {
@@ -67,8 +71,86 @@ fn hotel_egd() -> Egd {
     }
 }
 
+/// The fixed test-free targets of the entailment oracle.
+const ENTAILMENT_TARGETS: [&str; 5] = ["f", "f.f*", "f.f*.h", "f-.(f-)*", "h+f"];
+
+/// Brute-force entailment: every pattern path of at most `k` edges (each
+/// read forward, or reversed with the reversed NRE) whose concatenated
+/// language is included in `target`, by one automata inclusion check per
+/// distinct step sequence.
+fn brute_force_entailment(
+    p: &GraphPattern,
+    target: &Nre,
+    k: usize,
+) -> BTreeSet<(PNodeId, PNodeId)> {
+    let mut steps: Vec<(PNodeId, Nre, PNodeId)> = Vec::new();
+    for (s, r, d) in p.edges() {
+        steps.push((*s, r.clone(), *d));
+        steps.push((*d, r.reversed(), *s));
+    }
+    let mut verdicts: HashMap<Vec<Nre>, bool> = HashMap::new();
+    let mut included = |seq: &[Nre]| {
+        *verdicts.entry(seq.to_vec()).or_insert_with(|| {
+            let word = Nre::concat_all(seq.iter().cloned());
+            gdx_automata::included(&word, target).unwrap()
+        })
+    };
+    let mut out = BTreeSet::new();
+    let mut paths: Vec<(PNodeId, Vec<Nre>, PNodeId)> =
+        p.node_ids().map(|u| (u, Vec::new(), u)).collect();
+    for _ in 0..=k {
+        let mut longer = Vec::new();
+        for (u, seq, v) in &paths {
+            if included(seq) {
+                out.insert((*u, *v));
+            }
+            for (s, r, d) in &steps {
+                if s == v {
+                    let mut seq2 = seq.clone();
+                    seq2.push(r.clone());
+                    longer.push((*u, seq2, *d));
+                }
+            }
+        }
+        paths = longer;
+    }
+    out
+}
+
+fn entailment(
+    p: &GraphPattern,
+    target: &Nre,
+    bound: Option<usize>,
+) -> BTreeSet<(PNodeId, PNodeId)> {
+    EntailmentIndex::new(p, bound, true)
+        .relation(target)
+        .unwrap()
+        .iter()
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The product-reachability entailment index agrees with a brute-force
+    /// enumeration of pattern paths at every path bound up to 3, and its
+    /// unbounded relation contains every bounded one.
+    #[test]
+    fn entailment_matches_brute_force_path_enumeration(p in arb_pattern()) {
+        for target in ENTAILMENT_TARGETS {
+            let target = parse_nre(target).unwrap();
+            let unbounded = entailment(&p, &target, None);
+            for k in 1..=3 {
+                let capped = entailment(&p, &target, Some(k));
+                prop_assert_eq!(
+                    &capped,
+                    &brute_force_entailment(&p, &target, k),
+                    "target {} at bound {}", target, k
+                );
+                prop_assert!(capped.is_subset(&unbounded), "target {} at bound {}", target, k);
+            }
+        }
+    }
 
     /// The canonical instantiation of the s-t chase output satisfies the
     /// s-t tgds on every generated instance (universality, one half).
@@ -119,16 +201,14 @@ proptest! {
         if let EgdChaseOutcome::Success { pattern, .. } =
             chase_egds_on_pattern(&p, &egds, cfg).unwrap()
         {
-            let mut cache = gdx_common::FxHashMap::default();
-            let ms = gdx_chase::egd_pattern::certain_matches(
-                &pattern, &egds[0].body, cfg, &mut cache,
+            let mut index =
+                EntailmentIndex::new(&pattern, Some(cfg.path_bound), cfg.allow_reversed);
+            let ms = certain_matches(
+                &pattern, &egds[0].body, &[egds[0].lhs, egds[0].rhs], false, &mut index,
             )
             .unwrap();
             for m in ms {
-                prop_assert_eq!(
-                    m[&egds[0].lhs], m[&egds[0].rhs],
-                    "unresolved certain violation"
-                );
+                prop_assert_eq!(m[0], m[1], "unresolved certain violation");
             }
         }
     }

@@ -22,7 +22,10 @@ pub struct Options {
     /// Canonical-instantiation bounds (witness enumeration per pattern
     /// edge, candidate-family cap).
     pub instantiation: InstantiationConfig,
-    /// Adapted-chase bounds (egd steps on graph patterns).
+    /// Adapted-chase bounds (egd steps on graph patterns). Its
+    /// `path_bound` caps only the egd chase: the certain-answer lower
+    /// bound follows pattern paths of any length. Both read pattern
+    /// edges reversed when `allow_reversed` is set.
     pub egd_chase: EgdChaseConfig,
     /// Target-tgd chase bounds and evaluation mode.
     pub tgd_chase: TgdChaseConfig,

@@ -24,18 +24,13 @@
 //! returns as soon as the two bounds meet.
 
 use crate::options::Options;
-use gdx_chase::egd_pattern::{certain_matches_indexed, EgdChaseConfig, EntailmentIndex};
-use gdx_common::{FxHashMap, FxHashSet, Result, Symbol, Term};
+use gdx_chase::egd_pattern::{certain_matches, EntailmentIndex};
+use gdx_common::{Result, Symbol, Term};
 use gdx_graph::{Graph, Node};
 use gdx_mapping::TargetConstraint;
 use gdx_nre::Nre;
 use gdx_pattern::{represents, GraphPattern};
 use gdx_query::{Cnre, CnreAtom};
-
-/// Smallest path bound of the pattern-level lower bound. The egd chase
-/// keeps its own (smaller) bound, so the representative does not depend
-/// on this one.
-const LOWER_BOUND_PATH_BOUND: usize = 3;
 
 /// The pair `(pattern, target constraints)` of Section 5.
 #[derive(Debug, Clone)]
@@ -72,17 +67,18 @@ impl UniversalRepresentative {
     /// recursively: `(x, r₁.[t].r₂, y)` becomes
     /// `(x, r₁, z), (z, t, w), (z, r₂, y)`, and a test at either end binds
     /// its helper to the adjacent term. A lifted atom `(u, s, v)` is then
-    /// matched only when a path of at most
-    /// `max(egd_chase.path_bound, 3)` pattern edges *entails* `s`
-    /// (language inclusion — the same machinery as the egd chase). Every
+    /// matched only when a path of pattern edges, of any length,
+    /// *entails* `s` (language inclusion — the same machinery as the egd
+    /// chase, which cuts paths at `egd_chase.path_bound`). Every
     /// solution receives a homomorphism from the pattern, so each match
     /// holds in every solution. Rows are projected onto the *query's*
     /// variables and kept when those are constants; helper variables may
     /// bind to labeled nulls.
     ///
     /// Completeness is not attempted: tests under a star or a union keep
-    /// the syntactic fallback of the egd chase, and longer paths are not
-    /// explored. Use [`crate::ExchangeSession::certain_answers`] for the
+    /// the syntactic fallback of the egd chase, and each atom needs one
+    /// path all of whose realizations match it (no case analysis). Use
+    /// [`crate::ExchangeSession::certain_answers`] for the
     /// (bounded-complete) enumeration-based computation.
     pub fn certain_answer_lower_bound(
         &self,
@@ -111,28 +107,20 @@ impl UniversalRepresentative {
 }
 
 /// The reusable half of [`UniversalRepresentative::certain_answer_lower_bound`]:
-/// the entailment index of one pattern at the lower bound's path bound,
-/// plus its inclusion-verdict cache. A session keeps one per
-/// representative, so repeated queries share the sequence relations and
-/// the per-NRE entailment relations.
+/// the unbounded entailment index of one pattern. A session keeps one per
+/// representative, so repeated queries share the per-NRE entailment
+/// relations.
 #[derive(Debug)]
-pub(crate) struct LowerBoundIndex {
-    index: EntailmentIndex,
-    incl_cache: FxHashMap<(Vec<Nre>, Nre), bool>,
-}
+pub(crate) struct LowerBoundIndex(EntailmentIndex);
 
 impl LowerBoundIndex {
-    /// Indexes `pattern` at path bound `max(egd_chase.path_bound, 3)`.
+    /// Indexes `pattern`, reading edges reversed when the egd chase does.
     pub(crate) fn new(pattern: &GraphPattern, cfg: &Options) -> LowerBoundIndex {
-        let egd = cfg.egd_chase;
-        let index_cfg = EgdChaseConfig {
-            path_bound: egd.path_bound.max(LOWER_BOUND_PATH_BOUND),
-            ..egd
-        };
-        LowerBoundIndex {
-            index: EntailmentIndex::build(pattern, index_cfg),
-            incl_cache: FxHashMap::default(),
-        }
+        LowerBoundIndex(EntailmentIndex::new(
+            pattern,
+            None,
+            cfg.egd_chase.allow_reversed,
+        ))
     }
 
     /// The sorted, deduplicated constant rows of `query` (over its own
@@ -140,19 +128,11 @@ impl LowerBoundIndex {
     /// `pattern` must be the one the index was built from.
     pub(crate) fn rows(&mut self, pattern: &GraphPattern, query: &Cnre) -> Result<Vec<Vec<Node>>> {
         let lifted = lift_tests(query);
-        let matches =
-            certain_matches_indexed(pattern, &lifted, &mut self.index, &mut self.incl_cache)?;
-        let vars = query.variables();
-        // Matches repeat rows once per helper binding: deduplicate before
-        // sorting.
-        let distinct: FxHashSet<Vec<Node>> = matches
+        let matches = certain_matches(pattern, &lifted, &query.variables(), true, &mut self.0)?;
+        let mut rows: Vec<Vec<Node>> = matches
             .into_iter()
-            .filter_map(|m| {
-                let row: Vec<Node> = vars.iter().map(|v| pattern.node(m[v])).collect();
-                row.iter().all(Node::is_const).then_some(row)
-            })
+            .map(|m| m.into_iter().map(|id| pattern.node(id)).collect())
             .collect();
-        let mut rows: Vec<Vec<Node>> = distinct.into_iter().collect();
         rows.sort();
         Ok(rows)
     }

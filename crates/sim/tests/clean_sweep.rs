@@ -2,10 +2,14 @@
 //! multi-seed campaign (≥500 seeds across all oracles), and shrunk
 //! repros replay byte-identically from their text form.
 //!
-//! Compiled out under the `fault-delta-window` and `fault-lift-test`
+//! Compiled out under the three `fault-*` sharpness
 //! features — with a fault in, failures are the *expected* outcome (see
 //! `sharpness.rs`).
-#![cfg(not(any(feature = "fault-delta-window", feature = "fault-lift-test")))]
+#![cfg(not(any(
+    feature = "fault-delta-window",
+    feature = "fault-lift-test",
+    feature = "fault-entail-any"
+)))]
 
 use gdx_sim::campaign::{replay_text, run_campaign, Replayed};
 use gdx_sim::{generate, run_scenario, Oracle, Repro};

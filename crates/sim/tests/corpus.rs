@@ -7,10 +7,14 @@
 //! drifted from what `Repro::to_text` emits. Regenerate with
 //! `cargo run -p gdx-sim --example gen_corpus` and review the diff.
 //!
-//! Compiled out under `fault-delta-window` and `fault-lift-test`: with a
+//! Compiled out under the three `fault-*` features: with a
 //! deliberate fault in, the corpus entries of its oracle are *supposed*
 //! to fail.
-#![cfg(not(any(feature = "fault-delta-window", feature = "fault-lift-test")))]
+#![cfg(not(any(
+    feature = "fault-delta-window",
+    feature = "fault-lift-test",
+    feature = "fault-entail-any"
+)))]
 
 use gdx_sim::{replay_text, Replayed, Repro};
 

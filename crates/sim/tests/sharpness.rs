@@ -6,10 +6,17 @@
 //! * `--features fault-delta-window`: an off-by-one in the semi-naive
 //!   delta window, caught by the chase-mode oracle;
 //! * `--features fault-lift-test`: the pattern-level lower bound drops
-//!   its lifted nesting-test atoms, caught by the sandwich oracle.
+//!   its lifted nesting-test atoms, caught by the sandwich oracle;
+//! * `--features fault-entail-any`: pattern entailment accepts a path
+//!   when *some* state its words reach accepts, instead of all, caught
+//!   by the sandwich oracle.
 //!
 //! Run with: `cargo test -p gdx-sim --features <fault> --test sharpness`
-#![cfg(any(feature = "fault-delta-window", feature = "fault-lift-test"))]
+#![cfg(any(
+    feature = "fault-delta-window",
+    feature = "fault-lift-test",
+    feature = "fault-entail-any"
+))]
 
 use gdx_sim::campaign::{replay_text, run_campaign, Replayed};
 use gdx_sim::{Oracle, Repro};
@@ -24,6 +31,12 @@ fn chase_mode_oracle_catches_the_window_fault_within_200_seeds() {
 #[test]
 fn sandwich_oracle_catches_the_dropped_test_atom_within_200_seeds() {
     catches_and_shrinks(Oracle::Sandwich, "fault-lift-test");
+}
+
+#[cfg(feature = "fault-entail-any")]
+#[test]
+fn sandwich_oracle_catches_any_state_entailment_within_200_seeds() {
+    catches_and_shrinks(Oracle::Sandwich, "fault-entail-any");
 }
 
 fn catches_and_shrinks(oracle: Oracle, fault: &str) {

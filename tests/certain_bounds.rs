@@ -4,8 +4,9 @@
 //! bound and the first verified solution's constant rows, and returns
 //! early when they meet. These tests pin that the early answer is the
 //! drained-family intersection byte for byte (rows and `exact`), that
-//! the early exit examines one candidate, and that the exact fragment
-//! still enumerates its whole family.
+//! the early exit examines one candidate under egds and under sameAs
+//! plus a target tgd, and that the exact fragment still enumerates its
+//! whole family.
 
 use gdx::datagen::{flights_hotels, rng, FlightsHotelsParams};
 use gdx::exchange::representative::RepresentativeOutcome;
@@ -57,7 +58,6 @@ fn drained_intersection(
 fn early_exit_matches_the_drained_family_on_generated_flights() {
     let setting = Setting::example_2_2_egd();
     let query = PreparedQuery::parse(PAPER_QUERY).unwrap();
-    let mut met = 0;
     for seed in 1..=5 {
         let instance = instance(seed);
         let (expected, expected_exact, _) = drained_intersection(&setting, &instance, &query);
@@ -71,25 +71,59 @@ fn early_exit_matches_the_drained_family_on_generated_flights() {
         assert_eq!(exact, expected_exact, "seed {seed}: exact");
 
         let opts = *fresh.options();
-        let lower = match fresh.representative().unwrap() {
+        let mut lower = match fresh.representative().unwrap() {
             RepresentativeOutcome::Representative(rep) => {
                 rep.certain_answer_lower_bound(query.cnre(), &opts).unwrap()
             }
             RepresentativeOutcome::ChaseFailed => panic!("seed {seed}: the chase succeeds"),
         };
+        let mut sorted = rows.clone();
+        sorted.sort();
+        lower.sort();
         let reg = obs.registry().unwrap();
-        if lower.len() == rows.len() {
-            met += 1;
-            assert_eq!(fresh.candidates_examined(), 1, "seed {seed}: bounds met");
-            assert_eq!(reg.counter("session.lower_bound.proven"), 1);
-            assert_eq!(reg.counter("session.lower_bound.fallback"), 0);
-        } else {
-            assert!(fresh.candidates_examined() > 1, "seed {seed}: drained");
-            assert_eq!(reg.counter("session.lower_bound.proven"), 0);
-            assert_eq!(reg.counter("session.lower_bound.fallback"), 1);
-        }
+        assert_eq!(lower, sorted, "seed {seed}: the lower bound is the answer");
+        assert_eq!(fresh.candidates_examined(), 1, "seed {seed}: bounds met");
+        assert_eq!(reg.counter("session.lower_bound.proven"), 1);
+        assert_eq!(reg.counter("session.lower_bound.fallback"), 0);
     }
-    assert!(met >= 3, "the bounds met on only {met} of 5 seeds");
+}
+
+#[test]
+fn same_as_and_tgd_sessions_stop_after_one_candidate() {
+    // Flight chains are longer than any fixed path bound: the lower
+    // bound proves `f.f*.h` along pattern paths of any length, so it
+    // meets the first verified graph's rows.
+    let setting = gdx::mapping::dsl::parse_setting(
+        "source { Flight/3; Hotel/2 }
+         target { f; h; svc }
+         sttgd Flight(x1, x2, x3), Hotel(x1, x4)
+               -> exists y : (x2, f.f*, y), (y, h, x4), (y, f.f*, x3);
+         sameas (x1, h, x3), (x2, h, x3) -> (x1, x2);
+         tgd (x, h, y) -> exists z : (y, svc, z);",
+    )
+    .unwrap();
+    let query = PreparedQuery::parse("(x, f.f*.h, y)").unwrap();
+    for seed in 1..=5 {
+        let instance = instance(seed);
+        let (expected, expected_exact, _) = drained_intersection(&setting, &instance, &query);
+        let obs = gdx::obs::Obs::enabled();
+        let mut fresh = ExchangeSession::new(setting.clone(), instance)
+            .with_options(options())
+            .with_obs(obs.clone());
+        assert_eq!(
+            fresh.certain_answers(&query).unwrap(),
+            (expected, expected_exact),
+            "seed {seed}"
+        );
+        assert_eq!(fresh.candidates_examined(), 1, "seed {seed}: bounds met");
+        let reg = obs.registry().unwrap();
+        assert_eq!(reg.counter("session.lower_bound.proven"), 1, "seed {seed}");
+        assert_eq!(
+            reg.counter("session.lower_bound.fallback"),
+            0,
+            "seed {seed}"
+        );
+    }
 }
 
 #[test]

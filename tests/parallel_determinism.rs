@@ -193,13 +193,12 @@ fn session_outputs_identical_across_worker_counts() {
         let (proven_verdict, proven_work) =
             demand_work(&proven, &obs, || s.certain(&proven).unwrap());
         assert!(proven_verdict.is_certain(), "the pattern proves the pair");
-        // A trip of three or more `f` steps between two cities holds in
-        // every solution once the cities connect through a third one, but
-        // its proof needs four pattern edges (city, stop, city, stop,
-        // city), past the lower bound's path bound. So every worker count
-        // probes the whole family for it and must count the same demand
-        // work.
-        let reach = PreparedQuery::parse("(x, f.f*.f.f*.f.f*, y)").unwrap();
+        // Two single `f` steps between two cities hold in every graph of
+        // the family (each instantiates its `f.f*` edges by one `f`), but
+        // no `f.f*` pattern edge entails the single step `f`, so the
+        // pattern proves none of them. Every worker count probes the
+        // whole family for one and must count the same demand work.
+        let reach = PreparedQuery::parse("(x, f.f, y)").unwrap();
         let (reach_rows, _) = s.certain_answers(&reach).unwrap();
         let lower = representative
             .certain_answer_lower_bound(reach.cnre(), s.options())
@@ -207,9 +206,9 @@ fn session_outputs_identical_across_worker_counts() {
         let unproven = reach_rows
             .iter()
             .find(|row| !lower.contains(row))
-            .expect("the fixture has a certain connection the pattern does not prove");
+            .expect("the fixture has a family-wide connection the pattern does not prove");
         let probe = PreparedQuery::parse(&format!(
-            "(\"{}\", f.f*.f.f*.f.f*, \"{}\")",
+            "(\"{}\", f.f, \"{}\")",
             unproven[0].name().as_str(),
             unproven[1].name().as_str()
         ))
