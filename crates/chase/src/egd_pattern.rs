@@ -16,13 +16,34 @@
 //! criterion from DESIGN.md §5: a path of pattern edges
 //! `(u, r₁, ·) … (·, r_k, v)` (each traversable forward or, optionally,
 //! backward with the reversed NRE) entails `(u, s, v)` when
-//! `L(r₁·…·r_k) ⊆ L(s)`, at any length `k`. [`EntailmentIndex`] decides
-//! it for test-free NREs by one reachability walk over pairs (pattern
-//! node, set of states of the minimized DFA of `s`), not by enumerating
-//! edge sequences. The egd chase cuts paths at `path_bound` edges; the
-//! certain-answer lower bound does not cut them. A target accepts the
-//! empty path (and so relates every node to itself) only when no nesting
-//! test is on that path.
+//! `L(r₁·…·r_k) ⊆ L(s)`, at any length `k`. A target accepts the empty
+//! path (and so relates every node to itself) only when no nesting test
+//! is on that path. The egd chase cuts paths at `path_bound` edges; the
+//! certain-answer lower bound does not cut them. Both run the code below.
+//!
+//! * **Walk.** [`EntailmentIndex`] decides entailment of a test-free NRE
+//!   by a level-by-level walk per start node over pairs (pattern node,
+//!   interned set of states of the minimized DFA of `s`), not by
+//!   enumerating edge sequences. Steps come from per-node adjacency lists
+//!   sorted by step kind. Each state set has a visited bitset of `n` bits
+//!   (`n` pattern nodes) and the start node a bitset of the nodes it is
+//!   related to, both reused across start nodes; `path_bound` caps the
+//!   number of levels. The frontier is a list, not a bitset: nodes are
+//!   related in breadth-first discovery order, which the egd chase's
+//!   merge order (and so the surviving null names) depends on.
+//! * **Relation.** Accepted pairs are collected in their fixed order and
+//!   become a [`BinRel`] (forward and reverse rows in that order) without
+//!   a hash insert per visit: the bitsets prove them distinct, and the
+//!   relation's pair index is filled once per pair. Relations are
+//!   memoized per target in the index.
+//! * **Join.** [`certain_matches`] joins atom by atom over flat node-id
+//!   rows built in reused buffers. An atom that binds a kept variable from
+//!   a bound one that no later atom reads groups the rows sharing their
+//!   kept columns and ORs their relation rows into one reused `n`-bit
+//!   accumulator, which emits each new binding once, in relation order;
+//!   atoms whose fresh variable nobody reads are existence checks.
+//! * **Memory.** O(pattern edges + relation pairs + `n` × state sets),
+//!   plus the join's rows: no `n` × `n` matrix per step kind.
 //!
 //! Nesting tests are handled before matching, by the caller: the
 //! certain-answer lower bound (`gdx_exchange::representative`) lifts
@@ -258,11 +279,27 @@ pub struct EntailmentIndex {
     /// in pattern edge order. Forward kinds come first, in order of first
     /// occurrence; reversed edges join the kind of their reversed NRE.
     steps: Vec<(Nre, Vec<(PNodeId, PNodeId)>)>,
-    /// Per node (by id), the test-free steps leaving it:
-    /// `(step, successor)`.
+    /// Per node (by id), the test-free steps leaving it, in step-kind
+    /// order: `(step, successor)`.
     adjacency: Vec<Vec<(u32, PNodeId)>>,
     /// Entailment relations per target NRE.
     by_target: FxHashMap<Nre, BinRel>,
+    /// Bitsets and frontiers of the walk, reused across start nodes and
+    /// targets.
+    walk: WalkScratch,
+}
+
+/// Reusable scratch of [`EntailmentIndex`]'s walk: bitsets of one bit
+/// per pattern node.
+#[derive(Debug, Default)]
+struct WalkScratch {
+    /// Per interned DFA state set (one run of words each), the nodes the
+    /// current start node has reached with that set.
+    visited: Vec<u64>,
+    /// The nodes the current start node is already related to.
+    related: Vec<u64>,
+    frontier: Vec<(PNodeId, u32)>,
+    next: Vec<(PNodeId, u32)>,
 }
 
 impl EntailmentIndex {
@@ -277,23 +314,26 @@ impl EntailmentIndex {
     ) -> EntailmentIndex {
         let mut steps: Vec<(Nre, Vec<(PNodeId, PNodeId)>)> = Vec::new();
         let mut kind_of: FxHashMap<Nre, usize> = FxHashMap::default();
-        let mut add = |steps: &mut Vec<(Nre, Vec<(PNodeId, PNodeId)>)>, r: Nre, pair| {
-            let k = *kind_of.entry(r.clone()).or_insert_with(|| {
-                steps.push((r, Vec::new()));
-                steps.len() - 1
-            });
-            steps[k].1.push(pair);
+        let mut kind = |steps: &mut Vec<(Nre, Vec<(PNodeId, PNodeId)>)>, r: &Nre| {
+            if let Some(&k) = kind_of.get(r) {
+                return k;
+            }
+            kind_of.insert(r.clone(), steps.len());
+            steps.push((r.clone(), Vec::new()));
+            steps.len() - 1
         };
         for (s, r, d) in pattern.edges() {
-            add(&mut steps, r.clone(), (*s, *d));
+            let k = kind(&mut steps, r);
+            steps[k].1.push((*s, *d));
         }
         if allow_reversed {
             let forward = steps.len();
             for k in 0..forward {
-                let rev = steps[k].0.reversed();
-                let pairs: Vec<_> = steps[k].1.iter().map(|&(s, d)| (d, s)).collect();
-                for pair in pairs {
-                    add(&mut steps, rev.clone(), pair);
+                let reversed = steps[k].0.reversed();
+                let rev = kind(&mut steps, &reversed);
+                for i in 0..steps[k].1.len() {
+                    let (s, d) = steps[k].1[i];
+                    steps[rev].1.push((d, s));
                 }
             }
         }
@@ -310,6 +350,7 @@ impl EntailmentIndex {
             steps,
             adjacency,
             by_target: FxHashMap::default(),
+            walk: WalkScratch::default(),
         }
     }
 
@@ -323,8 +364,9 @@ impl EntailmentIndex {
     /// is `δ(q₀, L(r₁·…·r_k))`, so the path entails the target exactly
     /// when the set holds accepting states only. Pairs come out in a
     /// fixed order: identity pairs, single edges in step-kind order, then
-    /// longer paths by start node. The egd chase merges in match order, so
-    /// which null names survive a merge depends on it.
+    /// longer paths by start node, each in breadth-first discovery order.
+    /// The egd chase merges in match order, so which null names survive a
+    /// merge depends on it.
     pub fn relation(&mut self, target: &Nre) -> Result<&BinRel> {
         if !self.by_target.contains_key(target) {
             let rel = self.build_relation(target)?;
@@ -333,18 +375,17 @@ impl EntailmentIndex {
         Ok(&self.by_target[target])
     }
 
-    fn build_relation(&self, target: &Nre) -> Result<BinRel> {
-        let nodes = self.adjacency.len() as PNodeId;
-        let mut rel = BinRel::new();
+    fn build_relation(&mut self, target: &Nre) -> Result<BinRel> {
+        let nodes = self.adjacency.len();
+        let mut pairs: Vec<(PNodeId, PNodeId)> = Vec::new();
         // Length 0: a target that accepts the empty path with no test to
         // pass relates every node to itself.
-        if accepts_empty_path(target) {
-            for id in 0..nodes {
-                rel.insert(id, id);
-            }
+        let reflexive = accepts_empty_path(target);
+        if reflexive {
+            pairs.extend((0..nodes as PNodeId).map(|id| (id, id)));
         }
         if self.path_bound == Some(0) {
-            return Ok(rel);
+            return Ok(BinRel::from_distinct_pairs(pairs));
         }
         // A nesting test left in a target (one under a star or a union:
         // top-level tests of a query are lifted into atoms of their own
@@ -355,57 +396,94 @@ impl EntailmentIndex {
             .then(|| StepProduct::new(target, &self.steps))
             .transpose()?;
         // Length 1, in step-kind order.
-        for (k, (r, pairs)) in self.steps.iter().enumerate() {
-            let entailed = match &mut product {
+        let mut entailed = vec![false; self.steps.len()];
+        let mut single: FxHashSet<(PNodeId, PNodeId)> = FxHashSet::default();
+        for (k, (r, kind_pairs)) in self.steps.iter().enumerate() {
+            entailed[k] = match &mut product {
                 Some(product) if r.is_test_free() => {
                     let set = product.successor(START, k);
                     product.accepting(set)
                 }
                 _ => r == target,
             };
-            if entailed {
-                for &(u, v) in pairs {
-                    rel.insert(u, v);
+            if entailed[k] {
+                for &(u, v) in kind_pairs {
+                    if !(reflexive && u == v) && single.insert((u, v)) {
+                        pairs.push((u, v));
+                    }
                 }
             }
         }
         let Some(mut product) = product else {
-            return Ok(rel);
+            return Ok(BinRel::from_distinct_pairs(pairs));
         };
         if self.path_bound == Some(1) || product.is_dead(START) {
-            return Ok(rel);
+            return Ok(BinRel::from_distinct_pairs(pairs));
         }
-        // Longer paths: one breadth-first walk per start node over
-        // (node, state set), pruning sets that hold a dead state.
-        let mut visited: FxHashSet<(PNodeId, u32)> = FxHashSet::default();
-        let (mut frontier, mut next) = (Vec::new(), Vec::new());
-        for u in 0..nodes {
-            visited.clear();
-            visited.insert((u, START));
+        // Longer paths: one level-by-level walk per start node over
+        // (node, state set), with a visited bitset per state set. The
+        // frontier is a list, so nodes are related in breadth-first
+        // discovery order. Sets holding a dead state are pruned; the path
+        // bound caps the number of levels.
+        let words = nodes.div_ceil(64);
+        let WalkScratch {
+            visited,
+            related,
+            frontier,
+            next,
+        } = &mut self.walk;
+        related.resize(words, 0);
+        for u in 0..nodes as PNodeId {
+            related.fill(0);
+            if reflexive {
+                insert_bit(related, u);
+            }
+            for &(k, v) in &self.adjacency[u as usize] {
+                if entailed[k as usize] {
+                    insert_bit(related, v);
+                }
+            }
+            visited.fill(0);
+            visited.resize(product.set_count() * words, 0);
+            insert_bit(&mut visited[..words], u);
             frontier.clear();
             frontier.push((u, START));
             let mut depth = 0;
             while !frontier.is_empty() && self.path_bound.is_none_or(|b| depth < b) {
                 depth += 1;
                 next.clear();
-                for &(x, set) in &frontier {
-                    for &(k, y) in &self.adjacency[x as usize] {
-                        let succ = product.successor(set, k as usize);
-                        if !visited.insert((y, succ)) {
+                for &(x, set) in frontier.iter() {
+                    // The adjacency is sorted by step kind: one successor
+                    // set per kind, and a kind into a dead, non-accepting
+                    // set is skipped whole.
+                    for run in self.adjacency[x as usize].chunk_by(|a, b| a.0 == b.0) {
+                        let succ = product.successor(set, run[0].0 as usize);
+                        let (accepting, dead) = (product.accepting(succ), product.is_dead(succ));
+                        if dead && !accepting {
                             continue;
                         }
-                        if product.accepting(succ) {
-                            rel.insert(u, y);
+                        let at = succ as usize * words;
+                        if visited.len() < at + words {
+                            visited.resize(at + words, 0);
                         }
-                        if !product.is_dead(succ) {
-                            next.push((y, succ));
+                        let seen = &mut visited[at..at + words];
+                        for &(_, y) in run {
+                            if !insert_bit(seen, y) {
+                                continue;
+                            }
+                            if accepting && insert_bit(related, y) {
+                                pairs.push((u, y));
+                            }
+                            if !dead {
+                                next.push((y, succ));
+                            }
                         }
                     }
                 }
-                std::mem::swap(&mut frontier, &mut next);
+                std::mem::swap(frontier, next);
             }
         }
-        Ok(rel)
+        Ok(BinRel::from_distinct_pairs(pairs))
     }
 }
 
@@ -422,6 +500,9 @@ struct StepProduct {
     transfer: Vec<Vec<Vec<u32>>>,
     sets: Vec<Vec<u32>>,
     ids: FxHashMap<Vec<u32>, u32>,
+    /// Per interned set: (accepting, dead) — see [`StepProduct::accepting`]
+    /// and [`StepProduct::is_dead`].
+    verdicts: Vec<(bool, bool)>,
     /// `succ[set * steps + k]`, `u32::MAX` until computed.
     succ: Vec<u32>,
 }
@@ -452,6 +533,7 @@ impl StepProduct {
             transfer,
             sets: Vec::new(),
             ids: FxHashMap::default(),
+            verdicts: Vec::new(),
             succ: Vec::new(),
         };
         product.intern(vec![dfa.start]);
@@ -463,6 +545,17 @@ impl StepProduct {
             return id;
         }
         let id = self.sets.len() as u32;
+        // Does every word leading into the set belong to the target?
+        // (Under the `fault-entail-any` sharpness fault: does *some*
+        // word?) Does it hold a state from which nothing is accepted?
+        // Such a set never becomes accepting, however the path continues.
+        let accepting = if cfg!(feature = "fault-entail-any") {
+            set.iter().any(|&q| self.accept[q as usize])
+        } else {
+            set.iter().all(|&q| self.accept[q as usize])
+        };
+        let dead = set.iter().any(|&q| self.dead[q as usize]);
+        self.verdicts.push((accepting, dead));
         self.sets.push(set.clone());
         self.ids.insert(set, id);
         self.succ
@@ -485,24 +578,33 @@ impl StepProduct {
         self.succ[slot]
     }
 
-    /// Does every word leading into `set` belong to the target? (Under
-    /// the `fault-entail-any` sharpness fault: does *some* word?)
-    fn accepting(&self, set: u32) -> bool {
-        let set = &self.sets[set as usize];
-        if cfg!(feature = "fault-entail-any") {
-            set.iter().any(|&q| self.accept[q as usize])
-        } else {
-            set.iter().all(|&q| self.accept[q as usize])
-        }
+    /// Number of state sets interned so far.
+    fn set_count(&self) -> usize {
+        self.sets.len()
     }
 
-    /// Does `set` hold a state from which nothing is accepted? Such a set
-    /// never becomes accepting, however the path continues.
-    fn is_dead(&self, set: u32) -> bool {
-        self.sets[set as usize]
-            .iter()
-            .any(|&q| self.dead[q as usize])
+    /// Does every word leading into `set` belong to the target?
+    fn accepting(&self, set: u32) -> bool {
+        self.verdicts[set as usize].0
     }
+
+    /// Does `set` hold a state from which nothing is accepted?
+    fn is_dead(&self, set: u32) -> bool {
+        self.verdicts[set as usize].1
+    }
+}
+
+/// Sets bit `i` of `bits`; true when it was clear.
+fn insert_bit(bits: &mut [u64], i: PNodeId) -> bool {
+    let (word, mask) = (i as usize / 64, 1u64 << (i % 64));
+    let fresh = bits[word] & mask == 0;
+    bits[word] |= mask;
+    fresh
+}
+
+/// Is bit `i` of `bits` set?
+fn has_bit(bits: &[u64], i: PNodeId) -> bool {
+    bits[i as usize / 64] & (1u64 << (i % 64)) != 0
 }
 
 /// The interned id of the start set `{q₀}` of every [`StepProduct`].
@@ -561,10 +663,12 @@ const UNBOUND: PNodeId = PNodeId::MAX;
 /// every atom, in first-occurrence order of a left-to-right nested-loop
 /// join. With `constants_only`, output variables bind to constants only.
 ///
-/// The join runs atom by atom and keeps, after each atom, only the
-/// variables a later atom or the output reads, deduplicating the rows; a
-/// variable read by no one (such as a lifted test's witness) is only
-/// checked for existence.
+/// The join runs atom by atom over flat rows and keeps, after each atom,
+/// only the variables a later atom or the output reads; a variable read
+/// by no one (such as a lifted test's witness) is only checked for
+/// existence. An atom that reads a bound variable for the last time
+/// groups the rows sharing their kept columns and merges the group's
+/// relation rows into one reused bitset.
 pub fn certain_matches(
     pattern: &GraphPattern,
     body: &gdx_query::Cnre,
@@ -598,13 +702,27 @@ pub fn certain_matches(
         atoms.push((l, &index.by_target[&atom.nre], r));
     }
     let width = vars.len();
-    let mut is_output = vec![false; width];
-    for &s in &out_slots {
-        is_output[s] = true;
+    let nodes = pattern.node_count();
+    // `admitted[s]`: the nodes slot `s` may bind to, as a bitset, when
+    // restricted.
+    let mut constants = vec![0u64; nodes.div_ceil(64)];
+    for id in pattern.node_ids() {
+        if pattern.node(id).is_const() {
+            insert_bit(&mut constants, id);
+        }
+    }
+    let mut admitted: Vec<Option<&[u64]>> = vec![None; width];
+    if constants_only {
+        for &s in &out_slots {
+            admitted[s] = Some(&constants);
+        }
     }
     // `needed[d][s]`: slot `s` is an output or read by an atom after `d`.
     let mut needed = vec![Vec::new(); atoms.len()];
-    let mut later = is_output.clone();
+    let mut later = vec![false; width];
+    for &s in &out_slots {
+        later[s] = true;
+    }
     for d in (0..atoms.len()).rev() {
         needed[d] = later.clone();
         for end in [&atoms[d].0, &atoms[d].2] {
@@ -613,82 +731,282 @@ pub fn certain_matches(
             }
         }
     }
-    let admits =
-        |s: usize, n: PNodeId| !(constants_only && is_output[s]) || pattern.node(n).is_const();
 
-    let mut rows: Vec<Vec<PNodeId>> = vec![vec![UNBOUND; width]];
-    for (d, (l, rel, r)) in atoms.iter().enumerate() {
-        let keep = &needed[d];
-        let mut next: Vec<Vec<PNodeId>> = Vec::new();
-        let mut seen: FxHashSet<Vec<PNodeId>> = FxHashSet::default();
-        let mut emit = |mut row: Vec<PNodeId>| {
-            for (s, value) in row.iter_mut().enumerate() {
-                if !keep[s] {
-                    *value = UNBOUND;
-                }
-            }
-            if seen.insert(row.clone()) {
-                next.push(row);
-            }
-        };
-        for row in &rows {
-            let value = |end: &End| match *end {
-                End::Node(n) => Some(n),
-                End::Var(s) => Some(row[s]).filter(|&n| n != UNBOUND),
-            };
-            let (lv, rv) = (value(l), value(r));
-            // When the atom binds no variable read later, one pair of the
-            // relation is as good as all of them: a semi-join.
-            let fresh_kept = [(l, lv), (r, rv)]
-                .iter()
-                .any(|(end, v)| v.is_none() && matches!(end, End::Var(s) if keep[*s]));
-            // Extends the row by `(u, v)`; true once the atom is settled.
-            let mut visit = |u: PNodeId, v: PNodeId| {
-                let mut next_row = row.clone();
-                for (end, n) in [(l, u), (r, v)] {
-                    if let End::Var(s) = *end {
-                        if next_row[s] == UNBOUND && admits(s, n) {
-                            next_row[s] = n;
-                        } else if next_row[s] != n {
-                            return false;
-                        }
-                    }
-                }
-                emit(next_row);
-                !fresh_kept
-            };
-            match (lv, rv) {
-                (Some(u), Some(v)) => {
-                    if rel.contains(u, v) {
-                        visit(u, v);
-                    }
-                }
-                (Some(u), None) => {
-                    rel.image(u).iter().any(|&v| visit(u, v));
-                }
-                (None, Some(v)) => {
-                    rel.preimage(v).iter().any(|&u| visit(u, v));
-                }
-                (None, None) => {
-                    rel.iter().any(|(u, v)| visit(u, v));
-                }
-            }
-        }
-        rows = next;
-        if rows.is_empty() {
+    let mut join = Join::new(width, nodes, &admitted);
+    for (d, &(l, rel, r)) in atoms.iter().enumerate() {
+        join.step(l, rel, r, &needed[d]);
+        if join.len == 0 {
             break;
         }
     }
-    Ok(rows
-        .into_iter()
-        .map(|row| out_slots.iter().map(|&s| row[s]).collect())
+    Ok((0..join.len)
+        .map(|i| {
+            let row = join.row(i);
+            out_slots.iter().map(|&s| row[s]).collect()
+        })
         .collect())
 }
 
 /// One end of a join atom: a variable's row slot, or a pattern node.
+#[derive(Clone, Copy)]
 enum End {
     Var(usize),
     Node(PNodeId),
+}
+
+/// The atom-by-atom join of [`certain_matches`]: `len` rows of `width`
+/// slots each, flat, with the same slots bound in every row.
+///
+/// An atom either checks a pair (both ends bound), extends each row by
+/// the relation row of its bound end (one end fresh), or crosses the
+/// rows with the relation's pairs (both ends fresh). When the atom reads
+/// a slot for the last time, distinct rows may agree on every kept slot:
+/// a counting sort groups them, and each group merges its rows' relation
+/// rows into one reused bitset of `nodes` bits (without a dropped slot,
+/// every row is a group of its own), emitting each new binding once, in
+/// relation order. Rows come out exactly as the left-to-right nested-loop join
+/// with first-occurrence deduplication would emit them: the egd chase
+/// merges nodes in that order.
+struct Join<'a> {
+    width: usize,
+    nodes: usize,
+    len: usize,
+    rows: Vec<PNodeId>,
+    /// `bound[s]`: every row binds slot `s`.
+    bound: Vec<bool>,
+    admitted: &'a [Option<&'a [u64]>],
+    next: Vec<PNodeId>,
+    /// Grouping scratch: row indices in group order, a counting-sort
+    /// buffer and its buckets, and the `(row, binding)` pairs emitted.
+    order: Vec<u32>,
+    sorted: Vec<u32>,
+    buckets: Vec<u32>,
+    emitted: Vec<(u32, PNodeId)>,
+    /// The bindings a group (or a cross step) has emitted, one bit per
+    /// node.
+    seen: Vec<u64>,
+    /// The kept bindings of a cross step, flat.
+    crossed: Vec<PNodeId>,
+}
+
+impl<'a> Join<'a> {
+    fn new(width: usize, nodes: usize, admitted: &'a [Option<&'a [u64]>]) -> Join<'a> {
+        Join {
+            width,
+            nodes,
+            len: 1,
+            rows: vec![UNBOUND; width],
+            bound: vec![false; width],
+            admitted,
+            next: Vec::new(),
+            order: Vec::new(),
+            sorted: Vec::new(),
+            buckets: Vec::new(),
+            emitted: Vec::new(),
+            seen: vec![0; nodes.div_ceil(64)],
+            crossed: Vec::new(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[PNodeId] {
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Appends a copy of row `i` to the next rows.
+    fn push_row(&mut self, i: usize) {
+        let w = self.width;
+        self.next.extend_from_slice(&self.rows[i * w..(i + 1) * w]);
+    }
+
+    fn admits(&self, s: usize, n: PNodeId) -> bool {
+        self.admitted[s].is_none_or(|allowed| has_bit(allowed, n))
+    }
+
+    /// Joins the rows with one atom `(l, rel, r)`; `keep[s]`: slot `s` is
+    /// read after this atom.
+    fn step(&mut self, l: End, rel: &BinRel, r: End, keep: &[bool]) {
+        let fresh = |e: End| match e {
+            End::Var(s) if !self.bound[s] => Some(s),
+            _ => None,
+        };
+        self.next.clear();
+        let next_len = match (fresh(l), fresh(r)) {
+            (Some(s), Some(t)) => self.cross(rel, s, t, keep),
+            (fresh_l, fresh_r) => {
+                let value = |row: &[PNodeId], e: End| match e {
+                    End::Node(n) => n,
+                    End::Var(s) => row[s],
+                };
+                // What the atom offers row `i`.
+                let candidates = |join: &Join, i: usize| -> Candidates<'_> {
+                    let row = join.row(i);
+                    match (fresh_l, fresh_r) {
+                        (None, Some(_)) => Candidates::List(rel.image(value(row, l))),
+                        (Some(_), None) => Candidates::List(rel.preimage(value(row, r))),
+                        _ => Candidates::Check(rel.contains(value(row, l), value(row, r))),
+                    }
+                };
+                let new = fresh_l.or(fresh_r).filter(|&s| keep[s]);
+                self.extend(new, keep, candidates)
+            }
+        };
+        for (s, bound) in self.bound.iter_mut().enumerate() {
+            let bound_here = [l, r].iter().any(|e| matches!(e, End::Var(v) if *v == s));
+            *bound = keep[s] && (*bound || bound_here);
+        }
+        std::mem::swap(&mut self.rows, &mut self.next);
+        self.len = next_len;
+    }
+
+    /// Both ends fresh: the atom does not read the rows, so its kept
+    /// bindings are computed once and crossed with every row.
+    fn cross(&mut self, rel: &BinRel, s: usize, t: usize, keep: &[bool]) -> usize {
+        self.crossed.clear();
+        let kept: Vec<usize> = if s == t { vec![s] } else { vec![s, t] }
+            .into_iter()
+            .filter(|&v| keep[v])
+            .collect();
+        let mut any = false;
+        self.seen.fill(0);
+        for (u, v) in rel.iter() {
+            if s == t && u != v {
+                continue;
+            }
+            match kept.as_slice() {
+                [] => {
+                    any = true;
+                    break;
+                }
+                [only] => {
+                    let n = if *only == s { u } else { v };
+                    if self.admits(*only, n) && insert_bit(&mut self.seen, n) {
+                        self.crossed.push(n);
+                    }
+                }
+                _ => {
+                    if self.admits(s, u) && self.admits(t, v) {
+                        self.crossed.extend([u, v]);
+                    }
+                }
+            }
+        }
+        let bindings = if kept.is_empty() {
+            usize::from(any)
+        } else {
+            self.crossed.len() / kept.len()
+        };
+        for i in 0..self.len {
+            for b in 0..bindings {
+                self.push_row(i);
+                let at = self.next.len() - self.width;
+                for (j, &slot) in kept.iter().enumerate() {
+                    self.next[at + slot] = self.crossed[b * kept.len() + j];
+                }
+            }
+        }
+        self.len * bindings
+    }
+
+    /// One end bound: rows agreeing on every kept slot form a group. Each
+    /// group emits its kept slots once per new admitted binding of the
+    /// kept fresh slot `new`, or once when the atom holds for some row of
+    /// it (no kept binding), at the position of the row that produced it
+    /// first.
+    fn extend<'r>(
+        &mut self,
+        new: Option<usize>,
+        keep: &[bool],
+        candidates: impl Fn(&Join, usize) -> Candidates<'r>,
+    ) -> usize {
+        let width = self.width;
+        let key: Vec<usize> = (0..width).filter(|&s| self.bound[s] && keep[s]).collect();
+        self.order.clear();
+        self.order.extend(0..self.len as u32);
+        // Rows that keep every bound slot are distinct: each is a group of
+        // its own, already in order. Otherwise stable counting sorts by
+        // each key slot, last slot first, make equal keys adjacent, each
+        // group in row order.
+        let drops = (0..width).any(|s| self.bound[s] && !keep[s]);
+        for &s in key.iter().rev().filter(|_| drops) {
+            let value = |i: u32| self.rows[i as usize * width + s] as usize;
+            self.buckets.clear();
+            self.buckets.resize(self.nodes + 1, 0);
+            for &i in &self.order {
+                self.buckets[value(i) + 1] += 1;
+            }
+            for n in 0..self.nodes {
+                self.buckets[n + 1] += self.buckets[n];
+            }
+            self.sorted.resize(self.len, 0);
+            for &i in &self.order {
+                let at = &mut self.buckets[value(i)];
+                self.sorted[*at as usize] = i;
+                *at += 1;
+            }
+            std::mem::swap(&mut self.order, &mut self.sorted);
+        }
+        let rows = &self.rows;
+        let same_key = |a: u32, b: u32| {
+            key.iter()
+                .all(|&s| rows[a as usize * width + s] == rows[b as usize * width + s])
+        };
+        self.emitted.clear();
+        let mut start = 0;
+        while start < self.order.len() {
+            let mut end = start + 1;
+            while end < self.order.len() && same_key(self.order[start], self.order[end]) {
+                end += 1;
+            }
+            self.seen.fill(0);
+            for &i in &self.order[start..end] {
+                match (candidates(self, i as usize), new) {
+                    (Candidates::List(list), Some(s)) => {
+                        let admitted = self.admitted[s];
+                        for &v in list {
+                            if admitted.is_none_or(|allowed| has_bit(allowed, v))
+                                && insert_bit(&mut self.seen, v)
+                            {
+                                self.emitted.push((i, v));
+                            }
+                        }
+                    }
+                    (Candidates::List(list), None) if !list.is_empty() => {
+                        self.emitted.push((i, UNBOUND));
+                        break;
+                    }
+                    (Candidates::Check(true), _) => {
+                        self.emitted.push((i, UNBOUND));
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            start = end;
+        }
+        // Back to row order; a row's bindings keep their relation order.
+        self.emitted.sort_by_key(|&(i, _)| i);
+        for &(i, v) in &self.emitted {
+            let at = self.next.len();
+            self.next
+                .extend_from_slice(&rows[i as usize * width..(i as usize + 1) * width]);
+            for (s, &k) in keep.iter().enumerate() {
+                if !k {
+                    self.next[at + s] = UNBOUND;
+                }
+            }
+            if let Some(s) = new {
+                self.next[at + s] = v;
+            }
+        }
+        self.emitted.len()
+    }
+}
+
+/// What one atom offers one row: the relation row of its bound end (the
+/// fresh end's candidates), or the verdict on a pair of bound ends.
+enum Candidates<'r> {
+    List(&'r [PNodeId]),
+    Check(bool),
 }
 
 /// Convenience: run the full adapted chase (s-t phase then egd phase) of a

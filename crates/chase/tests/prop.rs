@@ -117,6 +117,68 @@ fn brute_force_entailment(
     out
 }
 
+/// The variables and constants of the join oracle's random bodies.
+const TERMS: [&str; 6] = ["x", "y", "z", "w", "\"k0\"", "\"k1\""];
+
+/// A body of 1–4 atoms over [`TERMS`] and [`ENTAILMENT_TARGETS`]: atoms
+/// repeat variables, may read one variable at both ends, and may use
+/// constants.
+fn arb_body() -> impl Strategy<Value = Cnre> {
+    proptest::collection::vec((0usize..6, 0usize..5, 0usize..6), 1..5).prop_map(|atoms| {
+        let text: Vec<String> = atoms
+            .into_iter()
+            .map(|(l, t, r)| format!("({}, {}, {})", TERMS[l], ENTAILMENT_TARGETS[t], TERMS[r]))
+            .collect();
+        Cnre::parse(&text.join(", ")).unwrap()
+    })
+}
+
+/// The certain matches by a nested loop over every assignment of the
+/// body's variables, each atom checked against the brute-force
+/// entailment relation, projected on `outputs`.
+fn nested_loop_matches(
+    p: &GraphPattern,
+    body: &Cnre,
+    outputs: &[Symbol],
+    constants_only: bool,
+    k: usize,
+) -> BTreeSet<Vec<PNodeId>> {
+    let relations: Vec<BTreeSet<(PNodeId, PNodeId)>> = body
+        .atoms
+        .iter()
+        .map(|atom| brute_force_entailment(p, &atom.nre, k))
+        .collect();
+    let vars = body.variables();
+    let nodes: Vec<PNodeId> = p.node_ids().collect();
+    let mut out = BTreeSet::new();
+    let mut assignment = vec![0usize; vars.len()];
+    loop {
+        let value = |t: &gdx_common::Term| match t {
+            gdx_common::Term::Var(v) => {
+                Some(nodes[assignment[vars.iter().position(|w| w == v).unwrap()]])
+            }
+            gdx_common::Term::Const(c) => p.node_id(Node::Const(*c)),
+        };
+        let holds = body.atoms.iter().zip(&relations).all(|(atom, rel)| {
+            matches!((value(&atom.left), value(&atom.right)), (Some(u), Some(v)) if rel.contains(&(u, v)))
+        });
+        let row: Vec<PNodeId> = outputs
+            .iter()
+            .map(|o| nodes[assignment[vars.iter().position(|w| w == o).unwrap()]])
+            .collect();
+        if holds && (!constants_only || row.iter().all(|&n| p.node(n).is_const())) {
+            out.insert(row);
+        }
+        // Next assignment (odometer); done after the last one.
+        let Some(i) = (0..vars.len()).find(|&i| assignment[i] + 1 < nodes.len()) else {
+            break;
+        };
+        assignment[i] += 1;
+        assignment[..i].fill(0);
+    }
+    out
+}
+
 fn entailment(
     p: &GraphPattern,
     target: &Nre,
@@ -149,6 +211,39 @@ proptest! {
                 );
                 prop_assert!(capped.is_subset(&unbounded), "target {} at bound {}", target, k);
             }
+        }
+    }
+
+    /// The join agrees with a nested loop over every variable assignment
+    /// on the brute-force entailment relation: same row set, no duplicate
+    /// rows, with and without the constants-only restriction.
+    #[test]
+    fn certain_matches_agree_with_a_nested_loop_join(
+        p in arb_pattern(),
+        body in arb_body(),
+        mask in 0usize..16,
+        k in 1usize..4,
+    ) {
+        let vars = body.variables();
+        let mut outputs: Vec<Symbol> = vars
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, &v)| v)
+            .collect();
+        if outputs.is_empty() {
+            outputs.extend(vars.first());
+        }
+        for constants_only in [false, true] {
+            let mut index = EntailmentIndex::new(&p, Some(k), true);
+            let rows = certain_matches(&p, &body, &outputs, constants_only, &mut index).unwrap();
+            let set: BTreeSet<Vec<PNodeId>> = rows.iter().cloned().collect();
+            prop_assert_eq!(set.len(), rows.len(), "duplicate rows for {}", body);
+            prop_assert_eq!(
+                set,
+                nested_loop_matches(&p, &body, &outputs, constants_only, k),
+                "body {} outputs {:?} bound {} constants_only {}", body, outputs, k, constants_only
+            );
         }
     }
 

@@ -45,6 +45,32 @@ impl AdjList {
         }
     }
 
+    /// Groups `(key, val)` pairs by key, keeping their order in each
+    /// block: one counting pass sizes every block exactly, a second fills
+    /// them.
+    fn from_pairs(pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone) -> AdjList {
+        let mut slots: Vec<Slot> = Vec::new();
+        for (key, _) in pairs.clone() {
+            let k = key as usize;
+            if k >= slots.len() {
+                slots.resize(k + 1, Slot::default());
+            }
+            slots[k].cap += 1;
+        }
+        let mut start = 0;
+        for slot in &mut slots {
+            slot.start = start;
+            start += slot.cap;
+        }
+        let mut arena = vec![0; start as usize];
+        for (key, val) in pairs {
+            let slot = &mut slots[key as usize];
+            arena[(slot.start + slot.len) as usize] = val;
+            slot.len += 1;
+        }
+        AdjList { slots, arena }
+    }
+
     /// Appends `val` to `key`'s block (no dedup — [`BinRel::insert`]
     /// dedups via the packed pair set before calling this).
     fn push(&mut self, key: NodeId, val: NodeId) {
@@ -254,6 +280,24 @@ impl BinRel {
         for (u, v) in pairs {
             r.push_new(u, v);
         }
+        r
+    }
+
+    /// Builds a relation from pairs the caller has *proved* distinct (e.g.
+    /// by a visited bitset), in their order: the pairs become the log,
+    /// each adjacency is laid out by one counting pass, and one pass fills
+    /// the pair index, so the result is sealed like every relation the
+    /// public constructors hand out.
+    pub fn from_distinct_pairs(log: Vec<(NodeId, NodeId)>) -> BinRel {
+        let mut r = BinRel {
+            pairs: FxHashSet::with_capacity_and_hasher(log.len(), Default::default()),
+            hashed: 0,
+            fwd: AdjList::from_pairs(log.iter().copied()),
+            rev: AdjList::from_pairs(log.iter().map(|&(u, v)| (v, u))),
+            log,
+        };
+        r.seal_pairs();
+        debug_assert_eq!(r.pairs.len(), r.log.len(), "pairs must be distinct");
         r
     }
 
@@ -817,5 +861,30 @@ mod tests {
         let g = Graph::parse("(a, f, b);").unwrap();
         assert!(mentions_absent_label(&g, &parse_nre("f.zzz").unwrap()));
         assert!(!mentions_absent_label(&g, &parse_nre("f.f").unwrap()));
+    }
+
+    #[test]
+    fn distinct_pairs_build_the_relation_inserts_build() {
+        let pairs = vec![(3, 1), (0, 2), (3, 0), (5, 3), (0, 1), (2, 2), (1, 3)];
+        let built = BinRel::from_distinct_pairs(pairs.clone());
+        let mut inserted = BinRel::new();
+        for &(u, v) in &pairs {
+            inserted.insert(u, v);
+        }
+        assert!(built.iter().eq(inserted.iter()));
+        for n in 0..7 {
+            assert_eq!(built.image(n), inserted.image(n), "image of {n}");
+            assert_eq!(built.preimage(n), inserted.preimage(n), "preimage of {n}");
+            for m in 0..7 {
+                assert_eq!(built.contains(n, m), inserted.contains(n, m), "({n}, {m})");
+            }
+        }
+        assert!(built.domain().eq(inserted.domain()));
+        assert!(built.codomain().eq(inserted.codomain()));
+        // Later inserts grow the exactly sized blocks.
+        let mut grown = built;
+        assert!(grown.insert(3, 4) && !grown.insert(0, 2));
+        assert_eq!(grown.image(3), &[1, 0, 4]);
+        assert_eq!(grown.preimage(4), &[3]);
     }
 }

@@ -42,8 +42,12 @@ impl Default for InstantiationConfig {
 /// distinct constants are forced equal.
 fn resolve_epsilon_edges(pattern: &GraphPattern) -> Result<GraphPattern> {
     let mut uf = UnionFind::new(pattern.node_count());
+    // One witness search per distinct edge NRE, not per edge.
+    let mut eps_only: FxHashMap<&Nre, bool> = FxHashMap::default();
     for (s, r, d) in pattern.edges() {
-        let eps_only = witness::shortest_nonempty(r).is_none();
+        let eps_only = *eps_only
+            .entry(r)
+            .or_insert_with(|| witness::shortest_nonempty(r).is_none());
         if eps_only && s != d {
             // Representative preference: constants win.
             let (rs, rd) = (uf.find(*s), uf.find(*d));
@@ -152,7 +156,10 @@ pub fn instantiation_family(
 #[derive(Debug)]
 pub struct InstantiationFamily {
     pattern: GraphPattern,
-    per_edge: Vec<Vec<Witness>>,
+    /// The distinct witness lists: one per (edge NRE, self-loop or not).
+    families: Vec<Vec<Witness>>,
+    /// Per edge position, the index of its witness list in `families`.
+    family_of: Vec<usize>,
     counters: Vec<usize>,
     produced: usize,
     cfg: InstantiationConfig,
@@ -171,17 +178,29 @@ impl InstantiationFamily {
     /// the witness bounds leave some edge without any realization.
     pub fn new(pattern: &GraphPattern, cfg: InstantiationConfig) -> Result<InstantiationFamily> {
         let pattern = resolve_epsilon_edges(pattern)?;
-        let per_edge: Vec<Vec<Witness>> = pattern
-            .edges()
-            .iter()
-            .map(|(s, r, d)| {
-                witness::enumerate(r, cfg.witnesses)
-                    .into_iter()
-                    .filter(|w| w.main_len() > 0 || s == d)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        if per_edge.iter().any(Vec::is_empty) {
+        // Witnesses are enumerated once per distinct (edge NRE, self-loop)
+        // pair; an edge between distinct nodes keeps only those with a
+        // non-empty path.
+        let mut families: Vec<Vec<Witness>> = Vec::new();
+        let mut family_of = Vec::with_capacity(pattern.edge_count());
+        {
+            let mut index: FxHashMap<(&Nre, bool), usize> = FxHashMap::default();
+            for (s, r, d) in pattern.edges() {
+                let self_loop = s == d;
+                let family = *index.entry((r, self_loop)).or_insert_with(|| {
+                    families.push(
+                        witness::enumerate(r, cfg.witnesses)
+                            .into_iter()
+                            .filter(|w| w.main_len() > 0 || self_loop)
+                            .collect(),
+                    );
+                    families.len() - 1
+                });
+                family_of.push(family);
+            }
+        }
+        let per_edge = |ei: usize| &families[family_of[ei]];
+        if (0..family_of.len()).any(|ei| per_edge(ei).is_empty()) {
             // An edge admits no usable witness within bounds (ε-only
             // between distinct nodes was already resolved, so this is a
             // bounds issue).
@@ -189,33 +208,34 @@ impl InstantiationFamily {
                 "witness enumeration bounds left an edge without realizations",
             ));
         }
-        let counters = vec![0usize; per_edge.len()];
+        let counters = vec![0usize; family_of.len()];
         // The odometer increments at most `max_graphs - 1` times, and
         // position `i` first moves only after Π_{j<i} |family_j| ticks —
         // so the smallest prefix whose product reaches the cap bounds
         // everything the enumeration can ever touch. Positions beyond it
         // stay at witness 0 forever and belong in the shared skeleton.
-        let mut vary = per_edge.len();
+        let mut vary = family_of.len();
         let mut prefix_product = 1usize;
-        for (i, ws) in per_edge.iter().enumerate() {
+        for i in 0..family_of.len() {
             if prefix_product >= cfg.max_graphs {
                 vary = i;
                 break;
             }
-            prefix_product = prefix_product.saturating_mul(ws.len());
+            prefix_product = prefix_product.saturating_mul(per_edge(i).len());
         }
         let mut base = Graph::with_capacity(pattern.node_count(), pattern.edge_count());
         let mut node_map: FxHashMap<PNodeId, NodeId> = FxHashMap::default();
         for id in pattern.node_ids() {
             node_map.insert(id, base.add_node(pattern.node(id)));
         }
-        for (ei, ws) in per_edge.iter().enumerate().skip(vary) {
+        for ei in vary..family_of.len() {
             let (s, _, d) = &pattern.edges()[ei];
-            witness::materialize(&mut base, &ws[0], node_map[s], node_map[d])?;
+            witness::materialize(&mut base, &per_edge(ei)[0], node_map[s], node_map[d])?;
         }
         Ok(InstantiationFamily {
             pattern,
-            per_edge,
+            families,
+            family_of,
             counters,
             produced: 0,
             cfg,
@@ -233,6 +253,11 @@ impl InstantiationFamily {
     pub fn truncated(&self) -> bool {
         self.done && self.produced >= self.cfg.max_graphs
     }
+
+    /// The witness list of edge position `ei`.
+    fn witnesses(&self, ei: usize) -> &[Witness] {
+        &self.families[self.family_of[ei]]
+    }
 }
 
 impl Iterator for InstantiationFamily {
@@ -247,7 +272,7 @@ impl Iterator for InstantiationFamily {
         let mut g = self.base.fork();
         for ei in 0..self.vary {
             let (s, _, d) = &self.pattern.edges()[ei];
-            let w = &self.per_edge[ei][self.counters[ei]];
+            let w = &self.witnesses(ei)[self.counters[ei]];
             if let Err(e) = witness::materialize(&mut g, w, self.node_map[s], self.node_map[d]) {
                 self.done = true;
                 return Some(Err(e));
@@ -267,7 +292,7 @@ impl Iterator for InstantiationFamily {
                 break;
             }
             self.counters[i] += 1;
-            if self.counters[i] < self.per_edge[i].len() {
+            if self.counters[i] < self.witnesses(i).len() {
                 break;
             }
             self.counters[i] = 0;
@@ -347,6 +372,29 @@ mod tests {
         // a -f-> b plus b -h-> fresh.
         assert_eq!(g.edge_count(), 2);
         assert!(represents(&p, &g));
+    }
+
+    #[test]
+    fn repeated_nres_share_one_witness_enumeration() {
+        // Repeated edge NREs, one of them on a self-loop: every edge gets
+        // exactly the witness list a per-edge enumeration would give it.
+        let p = GraphPattern::parse(
+            "(a, f.f*, _N1); (_N1, f.f*, b); (_N1, h+g, c); (b, f.f*, b);
+             (c, h+g, _N2); (_N2, f.f*, a); (a, f*, a); (a, f*, b);",
+        )
+        .unwrap();
+        let cfg = InstantiationConfig::default();
+        let family = InstantiationFamily::new(&p, cfg).unwrap();
+        // `(a, f*, a)` is a pure-ε self-loop and is dropped; the keys left
+        // are f.f* (twice: on and off the loop), h+g and f*.
+        assert_eq!(family.families.len(), 4, "(NRE, self-loop) keys");
+        for (ei, (s, r, d)) in family.pattern.edges().iter().enumerate() {
+            let per_edge: Vec<Witness> = witness::enumerate(r, cfg.witnesses)
+                .into_iter()
+                .filter(|w| w.main_len() > 0 || s == d)
+                .collect();
+            assert_eq!(family.witnesses(ei), per_edge.as_slice(), "edge {ei}: {r}");
+        }
     }
 
     #[test]

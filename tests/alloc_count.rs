@@ -299,3 +299,62 @@ fn candidate_family_allocation_budget() {
         "per-candidate fork cost exploded: {fork_large} allocations for {K} candidates"
     );
 }
+
+/// The paper's query `(x1, f.f*.[h].f-.(f-)*, x2)` has this many
+/// certain-answer lower-bound allocations on the 100-flight chased
+/// pattern below when every join row is cloned and hashed per visited
+/// pair (measured with this harness on the release profile).
+const PER_PAIR_ROW_ALLOCATIONS: u64 = 52_613;
+
+/// The certain-answer lower bound (entailment index, lifted join, row
+/// conversion) on the chased pattern of a 100-flight instance must stay
+/// at ≤ 10% of the per-pair row allocations: rows are built in reused
+/// buffers and the entailment walk reuses its bitsets across start nodes.
+#[test]
+fn lower_bound_allocation_budget() {
+    use gdx::chase::egd_pattern::adapted_chase;
+    use gdx::chase::EgdChaseConfig;
+    use gdx::datagen::{flights_hotels, rng, FlightsHotelsParams};
+    use gdx::exchange::representative::UniversalRepresentative;
+
+    let inst = flights_hotels(
+        FlightsHotelsParams {
+            flights: 100,
+            ..FlightsHotelsParams::default()
+        },
+        &mut rng(7),
+    );
+    let setting = Setting::example_2_2_egd();
+    let pattern = adapted_chase(&inst, &setting, EgdChaseConfig::default())
+        .expect("chase")
+        .pattern()
+        .expect("the chase succeeds")
+        .clone();
+    let rep = UniversalRepresentative {
+        pattern,
+        constraints: setting.target_constraints.clone(),
+    };
+    let query = Cnre::parse(&format!("(x1, {PAPER_QUERY}, x2)")).expect("static query");
+    let options = Options::default();
+    // Warm-up: interning and lazy statics outside the measured window.
+    let rows = rep
+        .certain_answer_lower_bound(&query, &options)
+        .expect("lower bound");
+    assert!(rows.len() > 100, "the bound proves the paper's pairs");
+    let count = allocations_during(|| {
+        let rows = rep
+            .certain_answer_lower_bound(&query, &options)
+            .expect("lower bound");
+        std::hint::black_box(rows.len());
+    });
+    eprintln!(
+        "100-flight lower bound: {count} allocations for {} rows \
+         (per-pair rows: {PER_PAIR_ROW_ALLOCATIONS})",
+        rows.len()
+    );
+    assert!(
+        count * 10 <= PER_PAIR_ROW_ALLOCATIONS,
+        "lower-bound regression: {count} allocations > 10% of the per-pair row join's \
+         {PER_PAIR_ROW_ALLOCATIONS}"
+    );
+}
