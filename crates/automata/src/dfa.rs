@@ -239,9 +239,10 @@ impl Dfa {
         let mut trans = vec![vec![u32::MAX; k]; class_count];
         let mut accept = vec![false; class_count];
         for c in 0..class_count {
-            // Class ids are contiguous, so the fill loop above visited
-            // every class; a missing representative is a partition bug.
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "class ids are contiguous, so the fill loop above visited every class; a missing representative is a partition bug"
+            )]
             let s = repr[c].expect("every class has a representative");
             accept[c] = self.accept[s];
             for li in 0..k {

@@ -22,8 +22,10 @@
 //! inclusion question; the chase falls back to a syntactic check for them
 //! (DESIGN.md §5 item 3).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod dfa;
 pub mod letter;

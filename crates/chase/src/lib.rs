@@ -20,8 +20,10 @@
 //!
 //! [graph pattern]: gdx_pattern::GraphPattern
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod egd_pattern;
 pub mod sameas;

@@ -382,6 +382,7 @@ impl TgdChaseEngine {
                 graph.edges_since(turn_start).map(|&(_, l, _)| l).collect();
             let nodes_added = graph.epoch().nodes() > turn_start.nodes();
             if !added_labels.is_empty() || nodes_added {
+                #[expect(clippy::disallowed_methods, reason = "`any` is order-free")]
                 for rule in &mut self.rules {
                     rule.dirty |= rule.symbols.iter().any(|s| added_labels.contains(s))
                         || (nodes_added && rule.nullable_atom);

@@ -77,6 +77,7 @@ pub fn is_weakly_acyclic(tgds: &[TargetTgd]) -> Result<bool> {
 
     // Weak acyclicity fails iff some special edge lies on a cycle, i.e.
     // both its endpoints are in the same strongly connected component.
+    #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
     let mut node_list: Vec<Position> = nodes.iter().copied().collect();
     node_list.sort_unstable();
     let index: FxHashMap<Position, usize> =

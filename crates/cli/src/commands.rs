@@ -39,7 +39,6 @@ USAGE:
   gdx serve     --addr HOST:PORT [--setting S.gdx --instance I.facts]
                 [--workers N] [--max-sessions N] [--queue-depth N]
                 [--default-deadline-ms N]
-  gdx lint      [--format text|json] [--warnings] [--root DIR]
   gdx info
   gdx help
 
@@ -52,11 +51,6 @@ SERVE (HTTP front end over warm sessions, see ARCHITECTURE.md):
   workload; requests may carry their own inline. When the admission
   queue (--queue-depth) is full, new connections get 429 + Retry-After.
   --default-deadline-ms applies to requests that set no deadline_ms.
-
-LINT (workspace invariant checker, see ARCHITECTURE.md):
-  mechanically enforces the determinism, panic-hygiene and locking
-  contracts over every workspace crate (same engine as `cargo run -p
-  gdx-lint -- check`); exits non-zero on violations or stale allows.
 
 SIMULATION (differential fuzzing, see ARCHITECTURE.md):
   oracles: replay | chase-mode | planner | threads | sat | fork | faults | sandwich
@@ -115,7 +109,6 @@ pub fn dispatch(argv: &[String]) -> Result<()> {
         "direct" => cmd_direct(rest),
         "sim" => cmd_sim(rest),
         "serve" => cmd_serve(rest),
-        "lint" => cmd_lint(rest),
         "info" => cmd_info(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -239,9 +232,9 @@ fn cmd_chase(argv: &[String]) -> Result<()> {
                 rep.pattern
             }
             RepresentativeOutcome::ChaseFailed => {
-                let ((c1, c2), _) = session
-                    .representative_failure()
-                    .expect("failed chase records its clash");
+                let ((c1, c2), _) = session.representative_failure().ok_or_else(|| {
+                    GdxError::schema("the egd chase failed without recording its clash")
+                })?;
                 println!("CHASE FAILED: constants {c1} and {c2} forced equal — no solution");
                 return Ok(());
             }
@@ -564,44 +557,6 @@ fn cmd_serve(argv: &[String]) -> Result<()> {
     drop(std::io::stdout().flush());
     handle.join();
     Ok(())
-}
-
-/// `gdx lint` — run the workspace invariant checker (gdx-lint) over
-/// the repository containing the current directory (or `--root DIR`).
-fn cmd_lint(argv: &[String]) -> Result<()> {
-    let a = Args::parse(argv, &["warnings"])?;
-    let format = a.get("format").unwrap_or("text");
-    if format != "text" && format != "json" {
-        return Err(GdxError::schema(format!(
-            "--format expects `text` or `json`, got `{format}`"
-        )));
-    }
-    let root = match a.get("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir()
-                .map_err(|e| GdxError::schema(format!("current dir: {e}")))?;
-            gdx_lint::find_workspace_root(&cwd).ok_or_else(|| {
-                GdxError::schema("no [workspace] Cargo.toml above the current dir".to_owned())
-            })?
-        }
-    };
-    let report = gdx_lint::check_workspace(&root)
-        .map_err(|e| GdxError::schema(format!("walking {}: {e}", root.display())))?;
-    if format == "json" {
-        print!("{}", gdx_lint::render_json(&report));
-    } else {
-        print!("{}", gdx_lint::render_text(&report, a.has("warnings")));
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(GdxError::schema(format!(
-            "lint: {} error(s), {} stale allow(s)",
-            report.errors(),
-            report.allows.iter().filter(|al| !al.used).count()
-        )))
-    }
 }
 
 fn cmd_info(argv: &[String]) -> Result<()> {

@@ -13,7 +13,10 @@
 //! dependency); every subcommand prints to stdout and exits non-zero on
 //! error.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod args;
 mod commands;

@@ -267,7 +267,8 @@ fn metrics_dump_is_stable_and_trace_shows_spans() {
         "\"egd.merges\": 1",
         "\"session.requests\": 1",
         "\"session.candidates\"",
-        "\"session.phase.chase_us\"",
+        "\"session.phase.egd_chase_us\"",
+        "\"session.phase.candidate_chase_us\"",
         "\"session.phase.verify_us\"",
     ] {
         assert!(out.contains(metric), "dump must report {metric}:\n{out}");
@@ -525,26 +526,4 @@ fn help_documents_serve() {
     assert!(out.contains("gdx serve"), "{out}");
     assert!(out.contains("--max-sessions"), "{out}");
     assert!(out.contains("--deadline-ms"), "{out}");
-}
-
-#[test]
-fn lint_reports_a_clean_workspace() {
-    // The shipped tree must satisfy its own contract; point --root at
-    // the workspace explicitly so the test is cwd-independent.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let root = root.to_string_lossy().into_owned();
-    let out = stdout_of(&["lint", "--root", &root]);
-    assert!(out.contains("gdx-lint: clean"), "{out}");
-    assert!(out.contains("0 error(s)"), "{out}");
-
-    let json = stdout_of(&["lint", "--root", &root, "--format", "json"]);
-    assert!(json.contains("\"clean\": true"), "{json}");
-    assert!(json.contains("\"errors\": 0"), "{json}");
-}
-
-#[test]
-fn help_documents_lint() {
-    let out = stdout_of(&["help"]);
-    assert!(out.contains("gdx lint"), "{out}");
-    assert!(out.contains("invariant checker"), "{out}");
 }

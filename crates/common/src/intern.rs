@@ -80,13 +80,15 @@ impl Symbol {
         // Interned strings live for the program's lifetime; leaking is the
         // standard trade for handing out `&'static str` without unsafe code.
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        // Capacity invariant, not an input condition: exceeding 2^28
-        // distinct strings per shard would exhaust the striped u32 id
-        // space — unreachable before memory is, so a panic is the honest
-        // report.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity invariant, not an input condition: exceeding 2^28 distinct strings per shard would exhaust the striped u32 id space — unreachable before memory is, so a panic is the honest report"
+        )]
         let local = u32::try_from(g.strings.len()).expect("interner shard overflow");
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity invariant: the striped u32 id space outlasts memory"
+        )]
         let id = local
             .checked_shl(SHARD_BITS)
             .filter(|&v| (v >> SHARD_BITS) == local)
@@ -212,6 +214,10 @@ mod tests {
         // observe identical string→id bindings, and every id must decode
         // back to its string.
         let names: Vec<String> = (0..256).map(|i| format!("conc-{i}")).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test races raw threads on the interner"
+        )]
         let ids: Vec<Vec<u32>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {

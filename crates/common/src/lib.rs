@@ -23,8 +23,10 @@
 //!   `gdx-server` wire protocol (the workspace carries no serde).
 //! * [`GdxError`] — the workspace-wide error type.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod bits;
 pub mod error;

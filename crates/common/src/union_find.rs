@@ -43,9 +43,10 @@ impl UnionFind {
 
     /// Adds a fresh singleton element and returns its id.
     pub fn push(&mut self) -> u32 {
-        // Capacity invariant: more than u32::MAX elements exhausts the id
-        // space — unreachable before memory is.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity invariant: more than u32::MAX elements exhausts the id space — unreachable before memory is"
+        )]
         let id = u32::try_from(self.parent.len()).expect("union-find overflow");
         self.parent.push(id);
         self.rank.push(0);

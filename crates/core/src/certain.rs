@@ -25,9 +25,10 @@
 use gdx_graph::Graph;
 
 /// Outcome of a certain-answer test.
-// The counterexample graph *is* the evidence callers want; boxing it
-// would only shuffle one allocation around.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the counterexample graph *is* the evidence callers want; boxing it would only shuffle one allocation around"
+)]
 #[derive(Debug, Clone)]
 pub enum CertainAnswer {
     /// The tuple holds in every solution (exactly decided).

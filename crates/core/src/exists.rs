@@ -37,9 +37,10 @@ use gdx_query::PreparedQuery;
 use gdx_relational::Instance;
 
 /// Outcome of the existence decision.
-// The witness graph *is* the payload of the variant; boxing it would
-// only shuffle one allocation around.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the witness graph *is* the payload of the variant; boxing it would only shuffle one allocation around"
+)]
 #[derive(Debug, Clone)]
 pub enum Existence {
     /// A solution exists; one is attached as the witness.
@@ -155,8 +156,10 @@ struct PreparedEgd {
 }
 
 impl PreparedEgd {
-    // Validation guarantees lhs/rhs occur in the egd body.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "validation guarantees lhs/rhs occur in the egd body"
+    )]
     fn new(egd: &Egd) -> PreparedEgd {
         let body = PreparedQuery::new(egd.body.clone());
         let vars = body.variables();

@@ -44,8 +44,10 @@
 //! * [`representative`] — universal representatives as
 //!   `(pattern, constraints)` pairs (Section 5).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod certain;
 pub mod direct;

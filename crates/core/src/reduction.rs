@@ -62,8 +62,10 @@ fn a_sym() -> Symbol {
 
 impl Reduction {
     /// Builds `Ω_ρ` and `I_ρ` from a 3-CNF formula.
-    // The only `expect` below parses a static CQ literal.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the only `expect` below parses a static CQ literal"
+    )]
     pub fn from_cnf(cnf: &Cnf, flavor: ReductionFlavor) -> Result<Reduction> {
         if !cnf.is_3cnf() {
             return Err(GdxError::unsupported("reduction expects a 3-CNF formula"));
@@ -200,8 +202,10 @@ impl Reduction {
     /// Recovers a CNF equisatisfiable with the original from a
     /// reduction-shaped setting (the inverse reduction; also the fast
     /// exact existence decision used for large instances).
-    // By construction every reduction constraint body is a single word.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "by construction every reduction constraint body is a single word"
+    )]
     pub fn extract_cnf(&self) -> Cnf {
         let mut cnf = Cnf::new(self.num_vars);
         let n = self.num_vars;

@@ -227,8 +227,10 @@ struct SettingView<'a> {
 }
 
 impl SettingView<'_> {
-    // Validation guarantees egd lhs/rhs occur in their body.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "validation guarantees egd lhs/rhs occur in their body"
+    )]
     fn satisfied(&self, graph: &Graph) -> Result<bool> {
         use gdx_chase::sameas::same_as_satisfied;
         use gdx_common::{FxHashMap, Symbol};

@@ -170,10 +170,11 @@ impl ExchangeSession {
     }
 
     /// Attaches an observability sink. The session spans its public
-    /// requests, records an s-t chase/chase/eval/verify/lower-bound phase
-    /// breakdown (`session.phase.*_us` histograms, timestamps from the sink's
-    /// injected clock), and threads the sink into the chase engines, the
-    /// demand evaluators' stat bridges and the runtime pools it builds.
+    /// requests, records an s-t chase/egd chase/candidate chase/eval/verify/
+    /// lower-bound phase breakdown (`session.phase.*_us` histograms,
+    /// timestamps from the sink's injected clock), and threads the sink
+    /// into the chase engines, the demand evaluators' stat bridges and
+    /// the runtime pools it builds.
     /// Recording never changes any result — every output stays
     /// byte-identical to the disabled run.
     ///
@@ -278,9 +279,10 @@ impl ExchangeSession {
     }
 
     /// `G ∈ Sol_Ω(I)`? Exact; the compiled checker persists across calls.
-    // The `expect`s below read memos the preceding ensure_* call just
-    // filled; a miss is a session-state bug worth a loud panic.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `expect`s below read memos the preceding ensure_* call just filled; a miss is a session-state bug worth a loud panic"
+    )]
     pub fn is_solution(&mut self, graph: &Graph) -> Result<bool> {
         if self.checker.is_none() {
             self.checker = Some(SolutionChecker::new(&self.setting).with_runtime(self.runtime()));
@@ -301,9 +303,10 @@ impl ExchangeSession {
     /// The chased universal representative `(pattern, constraints)` of
     /// Section 5, memoized: the s-t chase and the adapted egd chase run at
     /// most once per session.
-    // The `expect`s below read memos the preceding ensure_* call just
-    // filled; a miss is a session-state bug worth a loud panic.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `expect`s below read memos the preceding ensure_* call just filled; a miss is a session-state bug worth a loud panic"
+    )]
     pub fn representative(&mut self) -> Result<&RepresentativeOutcome> {
         if self.representative.is_none() {
             let _span = self.obs.span("session.representative");
@@ -348,7 +351,7 @@ impl ExchangeSession {
                 }
             };
             self.obs.observe(
-                "session.phase.chase_us",
+                "session.phase.egd_chase_us",
                 self.obs.now_micros().saturating_sub(chase_start),
             );
             self.representative = Some(outcome);
@@ -400,9 +403,10 @@ impl ExchangeSession {
     /// Existence via the memoized SAT encoding (exact within the
     /// single-symbol/union-of-symbols fragment, `Unsupported` outside it).
     /// The encoding is built once; only the solve runs per call.
-    // The `expect`s below read memos the preceding ensure_* call just
-    // filled; a miss is a session-state bug worth a loud panic.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `expect`s below read memos the preceding ensure_* call just filled; a miss is a session-state bug worth a loud panic"
+    )]
     pub fn solution_exists_sat(&mut self) -> Result<Existence> {
         if self.encoding.is_none() {
             self.encoding = Some(encode::encode_existence(&self.instance, &self.setting));
@@ -505,9 +509,10 @@ impl ExchangeSession {
     /// every further call reuses it, plus one shared materialization cache
     /// per solution graph, so the marginal cost of a query is evaluation
     /// only.
-    // The `expect`s below read memos the preceding ensure_* call just
-    // filled; a miss is a session-state bug worth a loud panic.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `expect`s below read memos the preceding ensure_* call just filled; a miss is a session-state bug worth a loud panic"
+    )]
     pub fn certain(&mut self, query: &PreparedQuery) -> Result<CertainAnswer> {
         if !query.variables().is_empty() {
             return Err(GdxError::unsupported(
@@ -647,9 +652,10 @@ impl ExchangeSession {
     /// is left unbuilt (paused, resumable). Otherwise the whole family is
     /// drained and intersected. Under a deadline the squeeze waits until
     /// the session holds the lower-bound index.
-    // The `expect`s below read memos the preceding ensure_* call just
-    // filled; a miss is a session-state bug worth a loud panic.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `expect`s below read memos the preceding ensure_* call just filled; a miss is a session-state bug worth a loud panic"
+    )]
     pub fn certain_answers(&mut self, query: &PreparedQuery) -> Result<(Vec<Vec<Node>>, bool)> {
         let _span = self.obs.span("session.certain_answers");
         self.obs.incr("session.requests");
@@ -1023,9 +1029,10 @@ impl SolutionStream<'_> {
         self.exact
     }
 
-    // The `expect`s below read memos the preceding ensure_* call just
-    // filled; a miss is a session-state bug worth a loud panic.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `expect`s below read memos the preceding ensure_* call just filled; a miss is a session-state bug worth a loud panic"
+    )]
     fn advance(&mut self) -> Result<Option<Graph>> {
         if self.finished {
             return Ok(None);
@@ -1068,9 +1075,10 @@ impl SolutionStream<'_> {
     /// graph in place, so their delta caches survive the fixpoint rounds;
     /// switching candidates — or an egd quotient replacing the graph
     /// value — resets them via graph-identity detection.
-    // The `expect`s below read memos the preceding ensure_* call just
-    // filled; a miss is a session-state bug worth a loud panic.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the `expect`s below read memos the preceding ensure_* call just filled; a miss is a session-state bug worth a loud panic"
+    )]
     fn advance_live(&mut self) -> Result<Option<Graph>> {
         // A resumed stream serves the already-verified prefix first, so
         // every stream yields the family from its beginning.
@@ -1130,7 +1138,7 @@ impl SolutionStream<'_> {
                     }
                 }
                 self.session.obs.observe(
-                    "session.phase.chase_us",
+                    "session.phase.candidate_chase_us",
                     self.session.obs.now_micros().saturating_sub(chase_start),
                 );
                 // Concrete egd repair: merge forced violations; a constant
@@ -1451,7 +1459,8 @@ mod tests {
         };
         for name in [
             "session.phase.st_chase_us",
-            "session.phase.chase_us",
+            "session.phase.egd_chase_us",
+            "session.phase.candidate_chase_us",
             "session.phase.eval_us",
             "session.phase.verify_us",
             "session.phase.lower_bound_us",

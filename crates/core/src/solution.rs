@@ -91,8 +91,10 @@ pub struct SolutionChecker {
 
 impl SolutionChecker {
     /// Compiles the checker for `setting`.
-    // Validation guarantees egd lhs/rhs occur in their body.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "validation guarantees egd lhs/rhs occur in their body"
+    )]
     pub fn new(setting: &Setting) -> SolutionChecker {
         let st_heads = setting
             .st_tgds

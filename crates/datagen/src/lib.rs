@@ -17,8 +17,10 @@
 //!   instances, queries, work graphs) for the `gdx-sim` differential
 //!   fuzzing harness.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod scenario;
 
@@ -99,9 +101,10 @@ impl Default for FlightsHotelsParams {
 /// `Setting::example_2_2_egd()` / `example_2_2_sameas()` /
 /// `example_3_1()`. Fewer hotels relative to flights ⇒ more hotel sharing
 /// ⇒ more egd merges in the adapted chase.
-// Static schema and fixed-arity inserts: the `expect`s can only trip
-// on a generator bug.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "static schema and fixed-arity inserts: the `expect`s can only trip on a generator bug"
+)]
 pub fn flights_hotels(p: FlightsHotelsParams, rng: &mut StdRng) -> Instance {
     let schema = Schema::from_relations([("Flight", 3), ("Hotel", 2)]).expect("static schema");
     let mut inst = Instance::new(schema);
@@ -127,8 +130,10 @@ pub fn flights_hotels(p: FlightsHotelsParams, rng: &mut StdRng) -> Instance {
 /// `l{i+1}`-successor (`i < k-1`). Chasing a Flight/Hotel graph with this
 /// set takes `k` rounds of cascading firings — a workload on which the
 /// naive round-robin chase and the semi-naive worklist engine differ.
-// The tgd bodies/heads are static templates that parse by construction.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "the tgd bodies/heads are static templates that parse by construction"
+)]
 pub fn chain_target_tgds(depth: usize) -> Vec<TargetTgd> {
     assert!(depth >= 1);
     let tgd = |body: &str, head: &str| TargetTgd {

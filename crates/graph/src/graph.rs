@@ -85,8 +85,10 @@ pub struct NullFactory {
 /// Formats `~{n}` into a stack buffer, returning the borrowed text —
 /// the probe loops below run once per chase firing, so the per-probe
 /// `format!` heap allocation they used to pay is measurable.
-// The buffer holds only `~` and ASCII digits by construction.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "the buffer holds only `~` and ASCII digits by construction"
+)]
 fn null_name(buf: &mut [u8; 21], mut n: u64) -> &str {
     let mut i = buf.len();
     loop {
@@ -410,7 +412,10 @@ impl Graph {
             nodes.append(&mut self.nodes);
             self.nodes = nodes;
             let mut ids = base.ids.clone();
-            // gdx-lint: allow(hash-iter) — map-to-map fold: hash order cannot escape
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "map-to-map fold: hash order cannot escape"
+            )]
             ids.extend(self.ids.drain());
             self.ids = ids;
             let mut edges = Vec::with_capacity(base.edges.len() + self.edges.len());
@@ -418,23 +423,39 @@ impl Graph {
             edges.append(&mut self.edges);
             self.edges = edges;
             let mut edge_set = base.edge_set.clone();
-            // gdx-lint: allow(hash-iter) — set-to-set fold: hash order cannot escape
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "set-to-set fold: hash order cannot escape"
+            )]
             edge_set.extend(self.edge_set.drain());
             self.edge_set = edge_set;
             let mut out = base.out.clone();
-            // gdx-lint: allow(hash-iter) — map-to-map fold: hash order cannot escape
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "map-to-map fold: hash order cannot escape"
+            )]
             out.extend(self.out.drain());
             self.out = out;
             let mut inc = base.inc.clone();
-            // gdx-lint: allow(hash-iter) — map-to-map fold: hash order cannot escape
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "map-to-map fold: hash order cannot escape"
+            )]
             inc.extend(self.inc.drain());
             self.inc = inc;
             let mut labels = base.labels.clone();
-            // gdx-lint: allow(hash-iter) — set-to-set fold: hash order cannot escape
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "set-to-set fold: hash order cannot escape"
+            )]
             labels.extend(self.labels.drain());
             self.labels = labels;
             let mut label_counts = base.label_counts.clone();
-            // gdx-lint: allow(hash-iter) — per-key addition into a map is commutative
+            #[expect(
+                clippy::iter_over_hash_type,
+                clippy::disallowed_methods,
+                reason = "per-key addition into a map is commutative"
+            )]
             for (l, c) in self.label_counts.drain() {
                 *label_counts.entry(l).or_insert(0) += c;
             }
@@ -567,8 +588,10 @@ impl Graph {
                 return id;
             }
         }
-        // Capacity invariant: u32 node ids run out long after memory.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity invariant: u32 node ids run out long after memory"
+        )]
         let id = u32::try_from(self.node_count()).expect("node id overflow");
         self.nodes.push(node);
         self.ids.insert(node, id);
@@ -600,9 +623,10 @@ impl Graph {
     }
 
     /// The node behind a dense id.
-    // `id < base_node_len()` implies a base graph exists; a miss is a
-    // caller handing ids across graphs — a bug worth a loud panic.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "`id < base_node_len()` implies a base graph exists; a miss is a caller handing ids across graphs — a bug worth a loud panic"
+    )]
     pub fn node(&self, id: NodeId) -> Node {
         let b = self.base_node_len();
         if (id as usize) < b {
@@ -705,13 +729,17 @@ impl Graph {
         }
     }
 
-    /// All edge labels that occur in the graph.
+    /// All edge labels that occur in the graph, in hash order: callers
+    /// must aggregate them order-insensitively.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unordered by contract (see the doc comment)"
+    )]
     pub fn labels(&self) -> impl Iterator<Item = Symbol> + '_ {
         let base = self.base.as_ref().map(|b| &b.labels);
         base.into_iter()
             .flatten()
             .copied()
-            // gdx-lint: allow(hash-iter) — documented unordered iterator; callers aggregate order-insensitively
             .chain(self.labels.iter().copied().filter(move |l| {
                 // Delta re-records labels the base already has; report each
                 // label once.
@@ -737,7 +765,10 @@ impl Graph {
             None => self.label_counts.clone(),
             Some(b) => {
                 let mut stats = b.label_counts.clone();
-                // gdx-lint: allow(hash-iter) — per-key addition into a map is commutative
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "per-key addition into a map is commutative"
+                )]
                 for (l, c) in &self.label_counts {
                     *stats.entry(*l).or_insert(0) += c;
                 }
@@ -1097,6 +1128,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test sums the counts, which is order-free"
+    )]
     fn label_stats_track_edge_counts() {
         let g = Graph::parse("(a, f, b); (b, f, c); (a, h, c);").unwrap();
         assert_eq!(g.label_count(Symbol::new("f")), 2);
@@ -1153,6 +1188,10 @@ mod tests {
         assert_eq!(labels, b.labels().collect::<FxHashSet<_>>());
         assert_eq!(a.label_stats(), b.label_stats());
         for id in a.node_ids() {
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "each label is checked on its own; the order cannot matter"
+            )]
             for &l in &labels {
                 assert_eq!(a.successors(id, l), b.successors(id, l), "out {id} {l}");
                 assert_eq!(a.predecessors(id, l), b.predecessors(id, l));

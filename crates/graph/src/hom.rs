@@ -116,6 +116,10 @@ fn search(
         return true;
     }
     let u = nulls[depth];
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "collected into a set: hash order cannot escape"
+    )]
     let used: FxHashSet<NodeId> = if injective {
         assign.values().copied().collect::<FxHashSet<_>>()
     } else {

@@ -23,8 +23,10 @@
 //!   [`Graph::freeze`] — the read-optimized data plane the evaluation
 //!   inner loops run on.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod frozen;
 pub mod graph;

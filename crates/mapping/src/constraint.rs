@@ -37,7 +37,12 @@ impl SourceToTargetTgd {
         self.head.validate(Some(target))?;
         let body_vars: FxHashSet<Symbol> = self.body.variables().into_iter().collect();
         let ex: FxHashSet<Symbol> = self.existential.iter().copied().collect();
-        if let Some(v) = ex.iter().filter(|v| body_vars.contains(v)).min() {
+        if let Some(v) = self
+            .existential
+            .iter()
+            .filter(|v| body_vars.contains(v))
+            .min_by_key(|v| v.as_str())
+        {
             return Err(GdxError::schema(format!(
                 "existential variable {v} also occurs in the tgd body"
             )));
@@ -124,7 +129,12 @@ impl TargetTgd {
         self.head.validate(Some(target))?;
         let body_vars: FxHashSet<Symbol> = self.body.variables().into_iter().collect();
         let ex: FxHashSet<Symbol> = self.existential.iter().copied().collect();
-        if let Some(v) = ex.iter().filter(|v| body_vars.contains(v)).min() {
+        if let Some(v) = self
+            .existential
+            .iter()
+            .filter(|v| body_vars.contains(v))
+            .min_by_key(|v| v.as_str())
+        {
             return Err(GdxError::schema(format!(
                 "existential variable {v} also occurs in the target tgd body"
             )));
@@ -273,6 +283,17 @@ mod tests {
             ..tgd.clone()
         };
         assert!(clash.validate(&schema, &target()).is_err());
+        // Two clashes: the error names the least variable by name, in
+        // whichever order the existentials are declared.
+        for existential in [["x4", "x1"], ["x1", "x4"]] {
+            let two = SourceToTargetTgd {
+                existential: existential.iter().map(|v| Symbol::new(v)).collect(),
+                head: Cnre::parse("(x2, f, x1), (x2, f, x4)").unwrap(),
+                ..tgd.clone()
+            };
+            let err = two.validate(&schema, &target()).unwrap_err().to_string();
+            assert!(err.contains("existential variable x1 "), "{err}");
+        }
 
         // Head symbol outside the alphabet.
         let bad_sym = SourceToTargetTgd {
@@ -280,6 +301,16 @@ mod tests {
             ..tgd
         };
         assert!(bad_sym.validate(&schema, &target()).is_err());
+        // Two symbols outside the alphabet: the least by name is named,
+        // whichever was interned first.
+        for head in ["(x2, zz.yy, y)", "(x2, yy.zz, y)"] {
+            let two = SourceToTargetTgd {
+                head: Cnre::parse(head).unwrap(),
+                ..bad_sym.clone()
+            };
+            let err = two.validate(&schema, &target()).unwrap_err().to_string();
+            assert!(err.contains("NRE symbol yy "), "{err}");
+        }
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //! egd (x1, h, x3), (x2, h, x3) -> x1 = x2;
 //! ```
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod constraint;
 pub mod dsl;

@@ -122,8 +122,10 @@ impl Setting {
     }
 
     /// The paper's Example 2.2 setting `Ω` (with the egd).
-    // Static paper fixture: the literal parses by construction.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "static paper fixture: the literal parses by construction"
+    )]
     pub fn example_2_2_egd() -> Setting {
         crate::dsl::parse_setting(
             "source { Flight/3; Hotel/2 }
@@ -136,8 +138,10 @@ impl Setting {
     }
 
     /// The paper's Example 2.2 setting `Ω′` (with the sameAs constraint).
-    // Static paper fixture: the literal parses by construction.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "static paper fixture: the literal parses by construction"
+    )]
     pub fn example_2_2_sameas() -> Setting {
         crate::dsl::parse_setting(
             "source { Flight/3; Hotel/2 }
@@ -151,8 +155,10 @@ impl Setting {
 
     /// The Example 3.1 setting (relational fragment: single-symbol heads,
     /// same egd).
-    // Static paper fixture: the literal parses by construction.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "static paper fixture: the literal parses by construction"
+    )]
     pub fn example_3_1() -> Setting {
         crate::dsl::parse_setting(
             "source { Flight/3; Hotel/2 }
@@ -165,8 +171,10 @@ impl Setting {
     }
 
     /// The Example 5.2 setting: chase succeeds yet no solution exists.
-    // Static paper fixture: the literal parses by construction.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "static paper fixture: the literal parses by construction"
+    )]
     pub fn example_5_2() -> Setting {
         crate::dsl::parse_setting(
             "source { R/1; P/1 }

@@ -66,7 +66,10 @@ impl Nre {
     ///
     /// Panics when `parts` is empty — there is no empty-language NRE to
     /// return (the paper's fragment has no `∅`).
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: the paper fragment has no empty-language NRE to return"
+    )]
     pub fn union_all(parts: impl IntoIterator<Item = Nre>) -> Nre {
         let mut it = parts.into_iter();
         let first = it.next().expect("union of at least one NRE");
@@ -292,6 +295,10 @@ mod tests {
             .concat(Nre::label("f").star())
             .concat(Nre::label("h").test())
             .concat(Nre::inverse("g"));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected into a set: hash order cannot escape"
+        )]
         let syms: FxHashSet<String> = r.symbols().iter().map(|s| s.to_string()).collect();
         assert_eq!(syms.len(), 3);
         assert!(syms.contains("f") && syms.contains("h") && syms.contains("g"));

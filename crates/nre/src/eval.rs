@@ -85,8 +85,10 @@ impl AdjList {
                 // Block ends the arena: grow in place.
                 self.arena.resize(slot.start as usize + new_cap as usize, 0);
             } else {
-                // Capacity invariant: u32 arena offsets outlast memory.
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "capacity invariant: u32 arena offsets outlast memory"
+                )]
                 let new_start = u32::try_from(self.arena.len()).expect("arena overflow");
                 let s = slot.start as usize;
                 self.arena.extend_from_within(s..s + slot.len as usize);
@@ -528,7 +530,10 @@ pub fn eval_from_set(graph: &Graph, r: &Nre, srcs: &FxHashSet<NodeId>) -> FxHash
         Nre::Epsilon => srcs.clone(),
         Nre::Label(a) => {
             let mut out = FxHashSet::default();
-            // gdx-lint: allow(hash-iter) — per-source images are unioned into a set
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "per-source images are unioned into a set"
+            )]
             for &u in srcs {
                 out.extend(graph.successors(u, *a).iter().copied());
             }
@@ -536,7 +541,10 @@ pub fn eval_from_set(graph: &Graph, r: &Nre, srcs: &FxHashSet<NodeId>) -> FxHash
         }
         Nre::Inverse(a) => {
             let mut out = FxHashSet::default();
-            // gdx-lint: allow(hash-iter) — per-source images are unioned into a set
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "per-source images are unioned into a set"
+            )]
             for &u in srcs {
                 out.extend(graph.predecessors(u, *a).iter().copied());
             }
@@ -561,6 +569,10 @@ pub fn eval_from_set(graph: &Graph, r: &Nre, srcs: &FxHashSet<NodeId>) -> FxHash
             }
             reached
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "filtered into a set: hash order cannot escape"
+        )]
         Nre::Test(inner) => srcs
             .iter()
             .copied()
@@ -642,6 +654,7 @@ impl EvalCache {
 
 /// All labels mentioned by an NRE that actually occur in the graph —
 /// a cheap emptiness precheck.
+#[expect(clippy::disallowed_methods, reason = "`any` is order-free")]
 pub fn mentions_absent_label(graph: &Graph, r: &Nre) -> bool {
     let present: FxHashSet<Symbol> = graph.labels().collect();
     r.symbols().iter().any(|s| !present.contains(s))

@@ -274,8 +274,10 @@ pub fn eval_delta<'a>(
     cache: &'a mut IncrementalCache,
 ) -> (&'a [(NodeId, NodeId)], EvalMark) {
     cache.ensure(graph, r);
-    // `ensure` just materialized (or refreshed) exactly this entry.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "`ensure` just materialized (or refreshed) exactly this entry"
+    )]
     let rel = cache.get(r).expect("ensure materialized the entry");
     let from = match since.graph {
         Some(id) if id == graph.id() => since.pairs.min(rel.mark()),

@@ -35,8 +35,10 @@
 //!   nested test branches) and their materialization into graphs: the
 //!   engine behind canonical instantiation of graph patterns.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod ast;
 pub mod classify;

@@ -61,9 +61,10 @@ fn step(r: &Nre) -> Nre {
                 uniq.retain(|a| *a != Nre::Epsilon);
             }
             let mut it = uniq.into_iter();
-            // A union flattens to ≥1 alternative, and the ε-retain above
-            // only fires when a non-ε alternative survives it.
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "a union flattens to ≥1 alternative, and the ε-retain above only fires when a non-ε alternative survives it"
+            )]
             let first = it.next().expect("non-empty union");
             it.fold(first, |acc, x| Nre::Union(Box::new(acc), Box::new(x)))
         }

@@ -128,6 +128,7 @@ proptest! {
             prop_assert!(flat.contains(u, v));
             prop_assert_eq!(flat.contains(v, u), reference.pairs.contains(&(v, u)));
         }
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut domain: Vec<NodeId> = reference.fwd.keys().copied().collect();
         domain.sort_unstable();
         prop_assert_eq!(flat.domain().collect::<Vec<_>>(), domain, "domain is sorted keys");

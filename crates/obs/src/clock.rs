@@ -1,7 +1,8 @@
 //! Injected time sources.
 //!
 //! Library crates in this workspace are forbidden from reading the wall
-//! clock directly (`gdx-lint` rules `wall-clock` and `clock-inject`):
+//! clock directly (`clippy::disallowed_methods` on `Instant::now` and
+//! `MonotonicClock::new`, configured in the workspace's `clippy.toml`):
 //! time is a capability that callers *inject*, so every engine result
 //! stays a pure function of its inputs. This module is the single
 //! carve-out — the one place allowed to touch [`std::time::Instant`] —
@@ -55,6 +56,10 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A monotonic clock whose origin is "now".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one wall-clock read: this clock is what entry points inject"
+    )]
     pub fn new() -> MonotonicClock {
         MonotonicClock {
             origin: Instant::now(),
@@ -63,6 +68,10 @@ impl MonotonicClock {
 }
 
 impl Default for MonotonicClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the default real clock is still the real clock: the caller chose it"
+    )]
     fn default() -> MonotonicClock {
         MonotonicClock::new()
     }
@@ -119,6 +128,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test exercises the real clock"
+    )]
     fn monotonic_never_goes_backwards() {
         let c = MonotonicClock::new();
         let a = c.now_micros();

@@ -21,8 +21,10 @@
 //! byte-identical determinism contracts (`parallel_determinism.rs`, the
 //! sim oracles) run with recording on to pin exactly that.
 
-#![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod clock;
 pub mod registry;

@@ -4,7 +4,7 @@
 //! last-write-wins **gauges**, and fixed-boundary **histograms** — all
 //! keyed by `&'static str` names and stored in `BTreeMap`s so every
 //! rendering walks the same sorted order. Rendering is hand-rolled
-//! text and JSON in the `gdx_common::json`/`gdx-lint` house style: no
+//! text and JSON in the `gdx_common::json` house style: no
 //! serialization dependency, stable field order, nothing that varies
 //! run-to-run unless the recorded values themselves do.
 //!

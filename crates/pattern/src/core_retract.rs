@@ -47,8 +47,11 @@ pub fn retract_core(pattern: &GraphPattern) -> (GraphPattern, usize) {
                 if fold_ok(&edges, nl, m) {
                     // Apply the fold: rewrite edges incident to `nl` onto
                     // `m` (membership dedups against existing edges).
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "incident edges are rewritten and re-inserted into the edge set; membership dedup makes order immaterial"
+                    )]
                     let incident: Vec<_> = edges
-                        // gdx-lint: allow(hash-iter) — incident edges are rewritten and re-inserted into the edge set; membership dedup makes order immaterial
                         .iter()
                         .filter(|(s, _, d)| *s == nl || *d == nl)
                         .cloned()
@@ -74,6 +77,7 @@ pub fn retract_core(pattern: &GraphPattern) -> (GraphPattern, usize) {
 
 /// Does mapping `n ↦ m` (identity elsewhere) send every canonical edge
 /// onto an existing canonical edge?
+#[expect(clippy::disallowed_methods, reason = "`all` is order-free")]
 fn fold_ok(edges: &FxHashSet<(PNodeId, Nre, PNodeId)>, n: PNodeId, m: PNodeId) -> bool {
     edges.iter().all(|(s, r, d)| {
         if *s != n && *d != n {

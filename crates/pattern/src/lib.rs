@@ -18,8 +18,10 @@
 //!   search). Every instantiation `G` satisfies `π → G`, i.e. lies in
 //!   `Rep_Σ(π)`.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod core_retract;
 pub mod hom;

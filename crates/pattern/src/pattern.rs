@@ -52,8 +52,10 @@ impl GraphPattern {
         if let Some(&id) = self.ids.get(&node) {
             return id;
         }
-        // Capacity invariant: >u32::MAX pattern nodes is out of scope.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity invariant: >u32::MAX pattern nodes is out of scope"
+        )]
         let id = u32::try_from(self.nodes.len()).expect("pattern node overflow");
         self.nodes.push(node);
         self.ids.insert(node, id);

@@ -91,14 +91,18 @@ impl Cnre {
             return Err(GdxError::schema("empty CNRE"));
         }
         if let Some(ab) = alphabet {
-            for a in &self.atoms {
-                for s in a.nre.symbols() {
-                    if !ab.contains(&s) {
-                        return Err(GdxError::schema(format!(
-                            "NRE symbol {s} not in target alphabet"
-                        )));
-                    }
-                }
+            // The least offending symbol by name, so the message does not
+            // depend on interning order.
+            let outside = self
+                .atoms
+                .iter()
+                .flat_map(|a| a.nre.symbols())
+                .filter(|s| !ab.contains(s))
+                .min_by_key(|s| s.as_str());
+            if let Some(s) = outside {
+                return Err(GdxError::schema(format!(
+                    "NRE symbol {s} not in target alphabet"
+                )));
             }
         }
         Ok(())
@@ -198,6 +202,12 @@ mod tests {
         let mut ab = FxHashSet::default();
         ab.insert(Symbol::new("f"));
         assert!(q.validate(Some(&ab)).is_err());
+        // Two symbols outside the alphabet: the error names the least by
+        // name, not whichever the symbol set yields first.
+        for text in ["(x, q9.b9, y)", "(x, b9.q9, y)"] {
+            let err = Cnre::parse(text).unwrap().validate(Some(&ab)).unwrap_err();
+            assert!(err.to_string().contains("NRE symbol b9 "), "{err}");
+        }
         ab.insert(Symbol::new("h"));
         q.validate(Some(&ab)).unwrap();
         q.validate(None).unwrap();

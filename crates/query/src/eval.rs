@@ -277,11 +277,14 @@ impl RelCache for gdx_nre::IncrementalCache {
 /// candidate bindings across workers ([`parallel_outer_join`]). Both are
 /// merged in input order, so the answer rows are byte-identical to a
 /// 1-worker evaluation.
-// The `expect("ensured")` cache lookups below follow the ensure pass over
-// the same atoms; a miss is a planner/cache bug that a silent fallback
-// would only hide.
-#[allow(clippy::expect_used)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::expect_used,
+    reason = "the `expect(\"ensured\")` cache lookups below follow the ensure pass over the same atoms; a miss is a planner/cache bug that a silent fallback would only hide"
+)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the join threads the planner state through every level; bundling it into a struct would only rename the arguments"
+)]
 pub(crate) fn planned_eval<C: RelCache>(
     graph: &Graph,
     query: &Cnre,
@@ -297,6 +300,10 @@ pub(crate) fn planned_eval<C: RelCache>(
     let Some(slots) = resolve_slots(graph, query) else {
         return Ok(NodeBindings::empty(vars));
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "collected into a set: hash order cannot escape"
+    )]
     let bound: FxHashSet<Symbol> = seed.keys().copied().filter(|v| vars.contains(v)).collect();
     let mut plan = plan_query(graph, query, &bound, mode);
     for (i, atom) in query.atoms.iter().enumerate() {
@@ -346,6 +353,10 @@ pub(crate) fn planned_eval<C: RelCache>(
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "map-to-map copy: hash order cannot escape"
+    )]
     let mut binding: FxHashMap<Symbol, NodeId> = seed.iter().map(|(&v, &id)| (v, id)).collect();
     binding.retain(|v, _| vars.contains(v));
     let mut rows = match parallel_outer_join(
@@ -404,7 +415,10 @@ enum OuterCand {
 /// memoizing evaluator belongs to the caller's one cache), both
 /// endpoints of the outer atom are already bound, or the candidate count
 /// is below [`PAR_MIN_OUTER`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the join threads the planner state through every level; bundling it into a struct would only rename the arguments"
+)]
 fn parallel_outer_join(
     graph: &Graph,
     access: &[AtomAccess],
@@ -584,7 +598,10 @@ pub(crate) enum AtomAccess<'a> {
 
 /// The mixed-access join. Returns `true` when `limit` rows were collected
 /// (early exit for existence probes).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the join threads the planner state through every level; bundling it into a struct would only rename the arguments"
+)]
 pub(crate) fn join_access(
     graph: &Graph,
     access: &[AtomAccess],

@@ -24,8 +24,10 @@
 //!   not exist at the previous call, via `⋃ᵢ (Δᵢ ⋈ full others)` on top of
 //!   the incremental NRE evaluator.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cnre;
 pub mod eval;

@@ -88,6 +88,10 @@ fn has_star(r: &Nre) -> bool {
 /// Estimated size of `⟦r⟧_G` from the graph's per-label statistics.
 fn est_pairs(graph: &Graph, r: &Nre) -> f64 {
     let nodes = graph.node_count() as f64;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum of integer-valued f64s is exact, so order-free"
+    )]
     let mut est: f64 = r
         .symbols()
         .iter()
@@ -106,6 +110,10 @@ fn est_pairs(graph: &Graph, r: &Nre) -> f64 {
 /// out-degree of the mentioned labels, plus one for staying in place.
 fn est_fanout(graph: &Graph, r: &Nre) -> f64 {
     let nodes = (graph.node_count() as f64).max(1.0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum of integer-valued f64s is exact, so order-free"
+    )]
     let edges: f64 = r
         .symbols()
         .iter()

@@ -378,6 +378,10 @@ mod tests {
         let single = q.demand_stats(&r).unwrap();
         assert!(single.visited > 0, "the probe took the demand path");
         // The same probe on four fresh caches from four threads.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test probes from raw threads on purpose"
+        )]
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

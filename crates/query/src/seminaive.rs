@@ -82,8 +82,10 @@ impl SemiNaiveState {
         for atom in &query.atoms {
             self.cache.ensure(graph, &atom.nre);
         }
-        // Every atom was ensured in the loop above; a miss is a cache bug.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "every atom was ensured in the loop above; a miss is a cache bug"
+        )]
         let rels: Vec<&BinRel> = query
             .atoms
             .iter()

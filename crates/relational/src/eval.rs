@@ -178,12 +178,10 @@ pub fn evaluate(instance: &Instance, query: &ConjunctiveQuery) -> Result<Binding
     Ok(Bindings { vars, rows })
 }
 
-// The expects below document invariants established by query validation
-// and plan construction (every atom's relation exists, every variable a
-// plan reads is bound by an earlier level): on the per-row hot path a
-// fallback would silently mask planner bugs, so a panic is the honest
-// report.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "the expects below document invariants established by query validation and plan construction (every atom's relation exists, every variable a plan reads is bound by an earlier level): on the per-row hot path a fallback would silently mask planner bugs, so a panic is the honest report"
+)]
 fn join(
     instance: &Instance,
     query: &ConjunctiveQuery,

@@ -113,6 +113,7 @@ impl Instance {
     }
 
     /// Total number of tuples across relations.
+    #[expect(clippy::disallowed_methods, reason = "`sum` is order-free")]
     pub fn tuple_count(&self) -> usize {
         self.data.values().map(RelationData::len).sum()
     }
@@ -120,7 +121,11 @@ impl Instance {
     /// Every constant appearing in some tuple (the instance's active domain).
     pub fn active_domain(&self) -> FxHashSet<Symbol> {
         let mut dom = FxHashSet::default();
-        // gdx-lint: allow(hash-iter) — the active domain is aggregated into a set
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "the active domain is aggregated into a set"
+        )]
         for rel in self.data.values() {
             for t in rel.tuples() {
                 dom.extend(t.iter().copied());
@@ -159,9 +164,10 @@ impl Instance {
 
     /// The paper's running example instance (Example 2.2): two flights and
     /// three hotel stays.
-    // Static literal inputs: a parse failure here is a broken fixture,
-    // caught by every test that touches the running example.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "static literal inputs: a parse failure here is a broken fixture, caught by every test that touches the running example"
+    )]
     pub fn example_2_2() -> Instance {
         let schema = Schema::from_relations([("Flight", 3), ("Hotel", 2)]).expect("static schema");
         Instance::parse(

@@ -12,8 +12,10 @@
 //! * [`eval`] — CQ evaluation by hash-join with greedy atom ordering,
 //!   producing all satisfying assignments (the *triggers* of the chase).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cq;
 pub mod eval;

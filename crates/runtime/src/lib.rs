@@ -56,8 +56,10 @@
 //! exercise real thread interleavings regardless of the host use
 //! [`Runtime::with_workers`], which deliberately skips the clamp.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -232,6 +234,10 @@ impl Runtime {
         // after the scope joins — never from inside the worker loop.
         let mut total_tasks = 0u64;
         let mut total_steals = 0u64;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool itself: the one place that creates worker threads"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {

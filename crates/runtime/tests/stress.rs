@@ -23,6 +23,10 @@ const WATCHDOG: Duration = Duration::from_secs(30);
 /// be cancelled); the test binary's exit reclaims it.
 fn under_watchdog(what: &str, body: impl FnOnce() + Send + 'static) {
     let (done_tx, done_rx) = mpsc::channel();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the watchdog must outlive a stalled pool, so the body gets a thread of its own"
+    )]
     let worker = std::thread::spawn(move || {
         body();
         // The receiver may be gone if the watchdog already fired.

@@ -15,8 +15,10 @@
 //! * [`brute_force`] — exhaustive check for cross-validation on small
 //!   formulas.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cnf;
 pub mod solver;

@@ -392,7 +392,7 @@ fn certain_answers(state: &ServerState, req: &Request, out: &mut dyn Write) -> i
 /// solution per HTTP chunk, riding the lazy `SolutionStream`: the first
 /// solution reaches the socket before the last is enumerated. Ends with
 /// a `{"done": …}` summary line carrying the exactness verdict.
-#[allow(
+#[expect(
     clippy::significant_drop_tightening,
     reason = "the solution stream borrows the session, so the guard must outlive it"
 )]

@@ -36,7 +36,7 @@
 //!   [`ServerState`]; everything deterministic lives here, fully
 //!   testable without a socket.
 //! * [`net`] — the only file that touches `TcpListener`, threads and
-//!   the real clock (see the `gdx-lint` carve-out): accept loop,
+//!   the real clock (each site an `#[expect(clippy::disallowed_methods)]`): accept loop,
 //!   bounded admission queue (full ⇒ `429` + `Retry-After`), fixed
 //!   worker pool, graceful shutdown.
 //!
@@ -50,8 +50,10 @@
 //! `unknown` without ever flipping a definite verdict. Library crates
 //! stay clock-free: the clock is constructed once, in [`net`].
 
-#![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod handler;
 pub mod http;

@@ -1,9 +1,9 @@
 //! The network edge: sockets, threads, the real clock.
 //!
 //! This is the **only** file in the workspace's library crates allowed
-//! to spawn raw threads and construct a wall clock (the `gdx-lint`
-//! `thread-spawn` / `clock-inject` carve-out, mirroring the one for
-//! `gdx-obs/clock.rs`): everything behind [`handler::handle`] stays
+//! to spawn raw threads and construct a wall clock (each site carries an
+//! `#[expect(clippy::disallowed_methods, reason = …)]`, mirroring the one
+//! in `gdx-obs/clock.rs`): everything behind [`handler::handle`] stays
 //! deterministic and clock-free, and this file is the boundary that
 //! injects time and concurrency into it.
 //!
@@ -47,6 +47,10 @@ const REJECT_DRAIN: Duration = Duration::from_millis(100);
 /// An observability handle backed by the real monotonic clock — the
 /// server's default time source (deadlines, latency histograms). The
 /// one sanctioned construction site outside `gdx-obs` itself.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the server's process edge injects the real clock"
+)]
 pub fn monotonic_obs() -> Obs {
     Obs::with_clock(Arc::new(MonotonicClock::new()))
 }
@@ -140,10 +144,18 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let mut workers = Vec::with_capacity(worker_count);
     for _ in 0..worker_count {
         let (state, stop, queue) = (state.clone(), stop.clone(), queue.clone());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "connection workers block on sockets, which the compute pool must not do"
+        )]
         workers.push(std::thread::spawn(move || {
             worker_loop(&state, &stop, &queue)
         }));
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the accept loop blocks on the listener, which the compute pool must not do"
+    )]
     let accept = {
         let (state, stop, queue) = (state.clone(), stop.clone(), queue.clone());
         std::thread::spawn(move || accept_loop(&listener, &state, &stop, &queue, queue_depth))

@@ -558,7 +558,10 @@ where
     let progress = Arc::new(AtomicUsize::new(0));
     let (tx, rx) = mpsc::channel();
     let worker_progress = Arc::clone(&progress);
-    // gdx-lint: allow(thread-spawn) — the watchdog must outlive a hung run, so the run gets a detachable thread of its own
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the watchdog must outlive a hung run, so the run gets a detachable thread of its own"
+    )]
     let handle = std::thread::spawn(move || {
         // The receiver is gone only after a timeout: nobody listens.
         let _ = tx.send(run(&worker_progress));

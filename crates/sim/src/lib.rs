@@ -40,11 +40,15 @@
 //! [`Repro`] file replayable via `gdx sim replay <file>`.
 //! [`campaign::run_campaign`] drives multi-seed sweeps (`gdx sim run`).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod campaign;
 pub mod exec;
+#[cfg(feature = "fault-lints")]
+pub mod fault_lints;
 pub mod gen;
 pub mod shrink;
 pub mod trace;

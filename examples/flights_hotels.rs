@@ -32,6 +32,10 @@ fn main() -> Result<()> {
     // One session runs the whole pipeline: s-t chase + adapted egd chase,
     // memoized behind `representative()`.
     let mut session = ExchangeSession::new(setting, instance);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the example reports wall-clock timings"
+    )]
     let t = Instant::now();
     match session.representative()?.clone() {
         RepresentativeOutcome::Representative(rep) => {
@@ -43,6 +47,10 @@ fn main() -> Result<()> {
                 t.elapsed()
             );
             // A second call is free — the chase is memoized.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the example reports wall-clock timings"
+            )]
             let t2 = Instant::now();
             session.representative()?;
             println!("memoized representative fetch: {:?}", t2.elapsed());

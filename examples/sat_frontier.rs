@@ -42,6 +42,10 @@ fn main() -> Result<()> {
         let n = 20u32;
         let m = ((n as f64) * ratio).round() as usize;
         let mut exists_count = 0;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the example reports wall-clock timings"
+        )]
         let t = Instant::now();
         let runs = 5;
         for seed in 0..runs {

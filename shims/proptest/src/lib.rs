@@ -17,6 +17,11 @@
 //!
 //! [`Just`]: strategy::Just
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod rng {
     //! Deterministic SplitMix64 generator behind every strategy.
 
@@ -224,7 +229,7 @@ pub mod strategy {
             impl<$($name: Strategy),+> Strategy for ($($name,)+) {
                 type Value = ($($name::Value,)+);
 
-                #[allow(non_snake_case)]
+                #[expect(non_snake_case, reason = "the tuple components are bound to the uppercase type-parameter names")]
                 fn generate(&self, rng: &mut TestRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.generate(rng),)+)
@@ -246,6 +251,10 @@ pub mod strategy {
     impl Strategy for &'static str {
         type Value = String;
 
+        #[expect(
+            clippy::panic,
+            reason = "an unsupported pattern is a bug in the calling test, reported as that test's failure"
+        )]
         fn generate(&self, rng: &mut TestRng) -> String {
             let units = parse_pattern(self)
                 .unwrap_or_else(|e| panic!("unsupported regex strategy {self:?}: {e}"));
@@ -538,6 +547,10 @@ pub mod test_runner {
         }
 
         /// Runs the property over `config.cases` generated values.
+        #[expect(
+            clippy::panic,
+            reason = "a failing case fails the calling test, as upstream proptest does"
+        )]
         pub fn run<S, F>(&mut self, strategy: S, mut test: F)
         where
             S: Strategy,
@@ -583,7 +596,6 @@ macro_rules! __proptest_items {
     (($cfg:expr) $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[allow(unreachable_code)]
             fn $name() {
                 let config: $crate::test_runner::Config = $cfg;
                 let mut runner = $crate::test_runner::TestRunner::new(config);

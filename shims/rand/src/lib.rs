@@ -7,6 +7,11 @@
 //! enough for workload generation (it is *not* cryptographic, and it does
 //! not reproduce upstream rand's streams).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod rngs {
     /// A deterministic 64-bit generator (SplitMix64 core).
     #[derive(Debug, Clone)]

@@ -21,8 +21,10 @@
 //!   times;
 //! * [`exchange::reduction`] — the Theorem 4.1 reduction from 3SAT.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub use gdx_automata as automata;
 pub use gdx_chase as chase;

@@ -18,6 +18,11 @@
 //! The counting allocator is this test binary's `#[global_allocator]`;
 //! every other test binary keeps the system allocator.
 
+#![expect(
+    unsafe_code,
+    reason = "a `#[global_allocator]` is an `unsafe impl GlobalAlloc`; it only counts and forwards to `System`"
+)]
+
 use gdx::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -39,18 +44,25 @@ fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are ours. `count_one` does not allocate: the
+// thread-local is a const-initialized `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        // SAFETY: the caller's contract for `alloc` is passed on as is.
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        // SAFETY: `ptr` came from `System` through this allocator, and the
+        // caller's contract for `realloc` is passed on as is.
         System.realloc(ptr, layout, new_size)
     }
 }
