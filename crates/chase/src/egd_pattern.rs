@@ -35,7 +35,10 @@
 //!   become a [`BinRel`] (forward and reverse rows in that order) without
 //!   a hash insert per visit: the bitsets prove them distinct, and the
 //!   relation's pair index is filled once per pair. Relations are
-//!   memoized per target in the index.
+//!   memoized per target in the index. Without a path bound and with
+//!   reversed steps, a target whose language is the reversal of a walked
+//!   target's is not walked: the reversal of a path is a path, so its
+//!   relation is the walked one's transpose.
 //! * **Join.** [`certain_matches`] joins atom by atom over flat node-id
 //!   rows built in reused buffers. An atom that binds a kept variable from
 //!   a bound one that no later atom reads groups the rows sharing their
@@ -282,8 +285,13 @@ pub struct EntailmentIndex {
     /// Per node (by id), the test-free steps leaving it, in step-kind
     /// order: `(step, successor)`.
     adjacency: Vec<Vec<(u32, PNodeId)>>,
+    /// Are reversed edges steps too?
+    allow_reversed: bool,
     /// Entailment relations per target NRE.
     by_target: FxHashMap<Nre, BinRel>,
+    /// Without a path bound: each walked test-free target with the
+    /// minimized DFA its walk ran on, for spotting reversed targets.
+    walked: Vec<(Nre, Dfa)>,
     /// Bitsets and frontiers of the walk, reused across start nodes and
     /// targets.
     walk: WalkScratch,
@@ -349,7 +357,9 @@ impl EntailmentIndex {
             path_bound,
             steps,
             adjacency,
+            allow_reversed,
             by_target: FxHashMap::default(),
+            walked: Vec::new(),
             walk: WalkScratch::default(),
         }
     }
@@ -367,12 +377,45 @@ impl EntailmentIndex {
     /// longer paths by start node, each in breadth-first discovery order.
     /// The egd chase merges in match order, so which null names survive a
     /// merge depends on it.
+    ///
+    /// Without a path bound (the certain-answer lower bound, which sorts
+    /// its rows), the pair order is unspecified: a target whose language
+    /// is the reversal of an already walked target's (`f-.(f-)*` after
+    /// `f.f*`) gets the transpose of that relation, in its order.
     pub fn relation(&mut self, target: &Nre) -> Result<&BinRel> {
         if !self.by_target.contains_key(target) {
-            let rel = self.build_relation(target)?;
+            let rel = match self.reversal_of(target)? {
+                Some(walked) => BinRel::from_distinct_pairs(
+                    self.by_target[&walked]
+                        .iter()
+                        .map(|(u, v)| (v, u))
+                        .collect(),
+                ),
+                None => self.build_relation(target)?,
+            };
             self.by_target.insert(target.clone(), rel);
         }
         Ok(&self.by_target[target])
+    }
+
+    /// The walked target whose language is the reversal of `target`'s,
+    /// if any: compared by language on minimized DFAs, so any spelling
+    /// of the reversal matches. Only without a path bound and with
+    /// reversed steps, where the relations are each other's transposes.
+    fn reversal_of(&self, target: &Nre) -> Result<Option<Nre>> {
+        if self.path_bound.is_some()
+            || !self.allow_reversed
+            || self.walked.is_empty()
+            || !target.is_test_free()
+        {
+            return Ok(None);
+        }
+        let reversed = target_dfa(&target.reversed(), &self.steps)?;
+        Ok(self
+            .walked
+            .iter()
+            .find(|(_, dfa)| same_language(dfa, &reversed))
+            .map(|(walked, _)| walked.clone()))
     }
 
     fn build_relation(&mut self, target: &Nre) -> Result<BinRel> {
@@ -391,10 +434,14 @@ impl EntailmentIndex {
         // top-level tests of a query are lifted into atoms of their own
         // before matching) or on an edge falls back to single-edge
         // syntactic equality (sound, incomplete).
-        let mut product = target
+        let dfa = target
             .is_test_free()
-            .then(|| StepProduct::new(target, &self.steps))
+            .then(|| target_dfa(target, &self.steps))
             .transpose()?;
+        let mut product = dfa.as_ref().map(|dfa| StepProduct::new(dfa, &self.steps));
+        if let (None, Some(dfa)) = (self.path_bound, dfa) {
+            self.walked.push((target.clone(), dfa));
+        }
         // Length 1, in step-kind order.
         let mut entailed = vec![false; self.steps.len()];
         let mut single: FxHashSet<(PNodeId, PNodeId)> = FxHashSet::default();
@@ -507,13 +554,42 @@ struct StepProduct {
     succ: Vec<u32>,
 }
 
+/// The minimized DFA of a test-free target over the joint alphabet of
+/// the target and the pattern's test-free step kinds.
+fn target_dfa(target: &Nre, steps: &[(Nre, Vec<(PNodeId, PNodeId)>)]) -> Result<Dfa> {
+    let test_free: Vec<&Nre> = std::iter::once(target)
+        .chain(steps.iter().map(|(r, _)| r).filter(|r| r.is_test_free()))
+        .collect();
+    let alphabet = joint_alphabet(&test_free);
+    Ok(Dfa::from_nre(target, &alphabet)?.minimize())
+}
+
+/// Do two complete DFAs accept the same words? Every pair of states the
+/// same word reaches must agree on acceptance. Automata over different
+/// alphabets differ: every letter of a test-free NRE occurs in some word
+/// of its language.
+fn same_language(a: &Dfa, b: &Dfa) -> bool {
+    if a.alphabet != b.alphabet {
+        return false;
+    }
+    let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
+    let mut stack = vec![(a.start, b.start)];
+    seen.insert((a.start, b.start));
+    while let Some((p, q)) = stack.pop() {
+        if a.accept[p as usize] != b.accept[q as usize] {
+            return false;
+        }
+        for (&p2, &q2) in a.trans[p as usize].iter().zip(&b.trans[q as usize]) {
+            if seen.insert((p2, q2)) {
+                stack.push((p2, q2));
+            }
+        }
+    }
+    true
+}
+
 impl StepProduct {
-    fn new(target: &Nre, steps: &[(Nre, Vec<(PNodeId, PNodeId)>)]) -> Result<StepProduct> {
-        let test_free: Vec<&Nre> = std::iter::once(target)
-            .chain(steps.iter().map(|(r, _)| r).filter(|r| r.is_test_free()))
-            .collect();
-        let alphabet = joint_alphabet(&test_free);
-        let dfa = Dfa::from_nre(target, &alphabet)?.minimize();
+    fn new(dfa: &Dfa, steps: &[(Nre, Vec<(PNodeId, PNodeId)>)]) -> StepProduct {
         let dead = (0..dfa.state_count())
             .map(|q| !dfa.accept[q] && dfa.trans[q].iter().all(|&t| t as usize == q))
             .collect();
@@ -521,14 +597,14 @@ impl StepProduct {
             .iter()
             .map(|(r, _)| {
                 if r.is_test_free() {
-                    transfer_table(&dfa, r)
+                    transfer_table(dfa, r)
                 } else {
                     Vec::new()
                 }
             })
             .collect();
         let mut product = StepProduct {
-            accept: dfa.accept,
+            accept: dfa.accept.clone(),
             dead,
             transfer,
             sets: Vec::new(),
@@ -537,7 +613,7 @@ impl StepProduct {
             succ: Vec::new(),
         };
         product.intern(vec![dfa.start]);
-        Ok(product)
+        product
     }
 
     fn intern(&mut self, set: Vec<u32>) -> u32 {

@@ -214,6 +214,33 @@ proptest! {
         }
     }
 
+    /// Without a path bound, the relation of `r.reversed()` is the
+    /// transpose of `r`'s, as sets: an index that walked `r` transposes
+    /// it, and a fresh index walking the reversal finds the same pairs.
+    /// `f-.(f-)*` after `f.f*` is the reversal by language only.
+    #[test]
+    fn unbounded_reversed_relation_is_the_transpose(p in arb_pattern()) {
+        for (first, second) in ENTAILMENT_TARGETS
+            .iter()
+            .map(|t| (*t, None))
+            .chain([("f.f*", Some("f-.(f-)*"))])
+        {
+            let target = parse_nre(first).unwrap();
+            let reversed = second.map_or_else(|| target.reversed(), |r| parse_nre(r).unwrap());
+            let mut index = EntailmentIndex::new(&p, None, true);
+            let transposed: BTreeSet<(PNodeId, PNodeId)> = index
+                .relation(&target)
+                .unwrap()
+                .iter()
+                .map(|(u, v)| (v, u))
+                .collect();
+            let shared: BTreeSet<(PNodeId, PNodeId)> =
+                index.relation(&reversed).unwrap().iter().collect();
+            prop_assert_eq!(&shared, &transposed, "target {}", target);
+            prop_assert_eq!(&entailment(&p, &reversed, None), &transposed, "target {}", target);
+        }
+    }
+
     /// The join agrees with a nested loop over every variable assignment
     /// on the brute-force entailment relation: same row set, no duplicate
     /// rows, with and without the constants-only restriction.

@@ -13,7 +13,8 @@
 //! * the verified **minimal-solution family** (the counterexample pool of
 //!   every certain-answer decision) plus one materialization cache per
 //!   solution graph — filled by draining
-//!   [`ExchangeSession::solutions`];
+//!   [`ExchangeSession::solutions`] — and, per solution graph and query
+//!   NRE, the constant-pair bit matrix of single-atom queries;
 //! * the **SAT encoding** of existence for the restricted fragment —
 //!   [`ExchangeSession::solution_exists_sat`];
 //! * the **chase engines** (sameAs saturator, target-tgd engine), the
@@ -59,7 +60,7 @@ use gdx_nre::eval::EvalCache;
 use gdx_nre::{DemandStats, Nre};
 use gdx_obs::Obs;
 use gdx_pattern::InstantiationFamily;
-use gdx_query::PreparedQuery;
+use gdx_query::{ConstantPairs, ConstantRows, PlannerMode, PreparedQuery};
 use gdx_relational::Instance;
 use gdx_runtime::Runtime;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -109,6 +110,10 @@ pub struct ExchangeSession {
     /// relations and memos. Never used for graphs that still mutate (the
     /// candidate loop builds cold caches instead).
     graph_caches: FxHashMap<GraphId, EvalCache>,
+    /// Next to each frozen graph's cache: per single-atom query NRE, the
+    /// graph's constant pairs (see [`ExchangeSession::dense_rows`]), so a
+    /// repeated query over the family is a word-wise AND.
+    constant_pairs: FxHashMap<GraphId, FxHashMap<Nre, ConstantPairs>>,
     candidates_examined: usize,
     /// Observability sink threaded into every engine and parallel region
     /// (disabled by default — see [`ExchangeSession::set_obs`]). This is
@@ -158,6 +163,7 @@ impl ExchangeSession {
             sameas_engine: None,
             tgd_engine: None,
             graph_caches: FxHashMap::default(),
+            constant_pairs: FxHashMap::default(),
             candidates_examined: 0,
             obs: Obs::disabled(),
         }
@@ -224,6 +230,7 @@ impl ExchangeSession {
         self.sameas_engine = None;
         self.tgd_engine = None;
         self.graph_caches.clear();
+        self.constant_pairs.clear();
     }
 
     /// The session's options.
@@ -730,12 +737,10 @@ impl ExchangeSession {
             return Ok(None);
         };
         match self.first_graph_rows(query)? {
-            Some(upper)
-                if lower.len() == upper.len() && lower.iter().all(|r| upper.contains(r)) =>
-            {
+            Some(upper) if lower.len() == upper.len() && upper.contains_all(&lower) => {
                 self.obs.incr("session.lower_bound.proven");
                 // Outside the exact fragment the family is never exact.
-                Ok(Some(self.answer_rows(upper, false)))
+                Ok(Some(self.answer_rows(upper.into_rows(), false)))
             }
             _ => {
                 self.obs.incr("session.lower_bound.fallback");
@@ -748,7 +753,7 @@ impl ExchangeSession {
     /// the memo, from a paused prefix, or from one freshly pulled
     /// candidate (the dropped stream pauses the rest of the family).
     /// `None` when the family has no member.
-    fn first_graph_rows(&mut self, query: &PreparedQuery) -> Result<Option<FxHashSet<Vec<Node>>>> {
+    fn first_graph_rows(&mut self, query: &PreparedQuery) -> Result<Option<RowSet>> {
         let prefix_empty = self.pending.as_ref().is_none_or(|p| p.collected.is_empty());
         if self.solutions_memo.is_none() && prefix_empty {
             if let Some(g) = self.solutions()?.next() {
@@ -770,16 +775,18 @@ impl ExchangeSession {
         rows
     }
 
-    fn rows_of_first(
-        &mut self,
-        graphs: &[Graph],
-        query: &PreparedQuery,
-    ) -> Result<Option<FxHashSet<Vec<Node>>>> {
+    fn rows_of_first(&mut self, graphs: &[Graph], query: &PreparedQuery) -> Result<Option<RowSet>> {
         let Some(first) = graphs.first() else {
             return Ok(None);
         };
-        let bindings = self.family_probe(std::slice::from_ref(first), query, None, false)?;
-        Ok(bindings.first().map(|b| b.constant_rows(first)))
+        let first = std::slice::from_ref(first);
+        if let Some(rows) = self.dense_rows(first, query) {
+            return Ok(Some(RowSet::Dense(rows)));
+        }
+        let bindings = self.family_probe(first, query, None, false)?;
+        Ok(bindings
+            .first()
+            .map(|b| RowSet::Hashed(b.constant_rows(&first[0]))))
     }
 
     /// Sorted constant-row intersection over a solution family, with the
@@ -792,6 +799,9 @@ impl ExchangeSession {
         base_exact: bool,
         query: &PreparedQuery,
     ) -> Result<(Vec<Vec<Node>>, bool)> {
+        if let Some(rows) = self.dense_rows(graphs, query) {
+            return Ok(self.answer_rows(rows.into_rows(), base_exact));
+        }
         let per_graph = self.family_probe(graphs, query, None, false)?;
         let mut sets = graphs
             .iter()
@@ -803,14 +813,56 @@ impl ExchangeSession {
         for rows in sets {
             inter.retain(|r| rows.contains(r));
         }
-        Ok(self.answer_rows(inter, base_exact))
+        Ok(self.answer_rows(inter.into_iter().collect(), base_exact))
     }
 
-    /// An answer set in its returned form: rows sorted by constant name,
-    /// then cut to `Options::row_limit` (a cut set is inexact).
-    fn answer_rows(&self, set: FxHashSet<Vec<Node>>, base_exact: bool) -> (Vec<Vec<Node>>, bool) {
-        let mut rows: Vec<Vec<Node>> = set.into_iter().collect();
-        rows.sort_by_key(|r| r.iter().map(|n| n.name().as_str()).collect::<Vec<_>>());
+    /// The order-free route of [`ExchangeSession::rows_of_first`] and
+    /// [`ExchangeSession::intersect_rows`]: the constant rows a
+    /// single-atom query `(t₁, r, t₂)` selects on every graph of a
+    /// non-empty family, intersected on the dense kernel. Each graph's
+    /// [`ConstantPairs`] of `r` is memoized next to its evaluation cache.
+    ///
+    /// `None` keeps the caller on planned evaluation: a conjunction, the
+    /// `Materialize` planner (the baseline the simulation's `planner`
+    /// oracle compares this route against), an empty family, or a graph
+    /// above the dense kernel's size bound. The time is recorded as an
+    /// eval phase, like the planned probe's, with no demand-evaluator
+    /// work.
+    fn dense_rows(&mut self, graphs: &[Graph], query: &PreparedQuery) -> Option<ConstantRows> {
+        let [atom] = query.cnre().atoms.as_slice() else {
+            return None;
+        };
+        if self.options.planner != PlannerMode::Auto || graphs.is_empty() {
+            return None;
+        }
+        let start = self.obs.now_micros();
+        let mut inter: Option<ConstantPairs> = None;
+        for g in graphs {
+            let memo = self.constant_pairs.entry(g.id()).or_default();
+            if !memo.contains_key(&atom.nre) {
+                memo.insert(atom.nre.clone(), ConstantPairs::eval(g, &atom.nre)?);
+            }
+            let pairs = &memo[&atom.nre];
+            match &mut inter {
+                Some(acc) => acc.intersect(pairs),
+                None => inter = Some(pairs.clone()),
+            }
+        }
+        DemandStats::default().record_into(&self.obs);
+        self.obs.observe(
+            "session.phase.eval_us",
+            self.obs.now_micros().saturating_sub(start),
+        );
+        inter.map(|p| p.select(atom))
+    }
+
+    /// An answer set (distinct rows) in its returned form: rows sorted by
+    /// constant name, then cut to `Options::row_limit` (a cut set is
+    /// inexact).
+    fn answer_rows(&self, mut rows: Vec<Vec<Node>>, base_exact: bool) -> (Vec<Vec<Node>>, bool) {
+        // The key reads names through the interner: compute it once per
+        // row, not twice per comparison.
+        rows.sort_by_cached_key(|r| r.iter().map(|n| n.name().as_str()).collect::<Vec<_>>());
         let mut exact = base_exact;
         if let Some(cap) = self.options.row_limit {
             if rows.len() > cap {
@@ -958,6 +1010,36 @@ impl ExchangeSession {
                     Some(SolutionChecker::new(&self.setting).with_runtime(self.runtime()));
             }
             self.engines_ready = true;
+        }
+    }
+}
+
+/// The constant rows of `query` on the first verified solution: a bit
+/// set from the dense kernel, or a hash set from planned evaluation.
+enum RowSet {
+    Dense(ConstantRows),
+    Hashed(FxHashSet<Vec<Node>>),
+}
+
+impl RowSet {
+    fn len(&self) -> usize {
+        match self {
+            RowSet::Dense(rows) => rows.len(),
+            RowSet::Hashed(rows) => rows.len(),
+        }
+    }
+
+    fn contains_all(&self, rows: &[Vec<Node>]) -> bool {
+        match self {
+            RowSet::Dense(set) => set.contains_all(rows),
+            RowSet::Hashed(set) => rows.iter().all(|r| set.contains(r)),
+        }
+    }
+
+    fn into_rows(self) -> Vec<Vec<Node>> {
+        match self {
+            RowSet::Dense(rows) => rows.into_rows(),
+            RowSet::Hashed(rows) => rows.into_iter().collect(),
         }
     }
 }
@@ -1353,6 +1435,110 @@ mod tests {
         let probe = PreparedQuery::parse("(\"c1\", f.f*.[h].f-.(f-)*, \"c3\")").unwrap();
         assert!(cold.certain(&probe).unwrap().is_certain());
         assert_eq!(cold.candidates_examined(), 0);
+    }
+
+    /// The sorted constant rows planned evaluation gives on every graph,
+    /// intersected: the reference of the dense route.
+    fn planned_intersection(graphs: &[Graph], q: &PreparedQuery) -> Vec<Vec<Node>> {
+        let mut sets = graphs
+            .iter()
+            .map(|g| q.evaluate(g).unwrap().constant_rows(g));
+        let mut inter = sets.next().unwrap();
+        for rows in sets {
+            inter.retain(|r| rows.contains(r));
+        }
+        let mut rows: Vec<Vec<Node>> = inter.into_iter().collect();
+        rows.sort_by_cached_key(|r| r.iter().map(|n| n.name().as_str()).collect::<Vec<_>>());
+        rows
+    }
+
+    #[test]
+    fn dense_route_agrees_with_planned_evaluation_on_every_atom_shape() {
+        for text in [
+            "(x1, f.f*.[h].f-.(f-)*, x2)",
+            "(x, f*, x)",
+            "(x, f.f*, \"c2\")",
+            "(\"c1\", f.f*.[h], y)",
+            "(\"c1\", f.f*.[h].f-.(f-)*, \"c3\")",
+            "(x, f, y), (y, f, z)",
+        ] {
+            let q = PreparedQuery::parse(text).unwrap();
+            let mut auto = session_2_2();
+            let mut materialize = session_2_2()
+                .with_options(Options::default().with_planner(PlannerMode::Materialize));
+            assert_eq!(
+                auto.certain_answers(&q).unwrap(),
+                materialize.certain_answers(&q).unwrap(),
+                "{text}"
+            );
+            let family: Vec<Graph> = auto.solutions().unwrap().map(|g| g.unwrap()).collect();
+            assert_eq!(
+                auto.certain_answers(&q).unwrap().0,
+                planned_intersection(&family, &q),
+                "{text} over the drained family"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_intersection_maps_constants_with_other_ids() {
+        // `c3` has id 2 in the first graph and id 0 in the second: the
+        // word-wise AND would compare unrelated constants, so the second
+        // graph is mapped through the constant names.
+        let graphs = [
+            Graph::parse("(c1, f, c2); (c2, f, c3); (c1, f, c3); (c3, f, c1);").unwrap(),
+            Graph::parse("(c3, f, c1); (c1, f, c2); (c2, f, c3); (c2, f, c1);").unwrap(),
+        ];
+        let c3 = Node::cst("c3");
+        assert_ne!(graphs[0].node_id(c3), graphs[1].node_id(c3));
+        let mut s = session_2_2();
+        for text in ["(x, f.f*, y)", "(x, f, y)", "(x, f.f, x)", "(\"c3\", f, y)"] {
+            let q = PreparedQuery::parse(text).unwrap();
+            let (rows, exact) = s.intersect_rows(&graphs, true, &q).unwrap();
+            assert!(exact);
+            assert_eq!(rows, planned_intersection(&graphs, &q), "{text}");
+            assert!(!rows.is_empty(), "{text}");
+        }
+        // Every pair is memoized once per (graph, NRE).
+        assert_eq!(s.constant_pairs[&graphs[0].id()].len(), 3);
+    }
+
+    #[test]
+    fn both_sides_of_the_dense_size_bound_give_the_same_answers() {
+        // Runs of eight constants chained by `f`, with an `h` edge out of
+        // every fourth: at the bound the dense route answers, one node
+        // above it planned evaluation does.
+        let mut at_bound = Graph::new();
+        let ids: Vec<gdx_graph::NodeId> = (0..gdx_nre::dense::DENSE_MAX_NODES)
+            .map(|i| at_bound.add_const(&format!("n{i}")))
+            .collect();
+        for (i, w) in ids.windows(2).enumerate() {
+            if i % 8 != 7 {
+                at_bound.add_edge_labelled(w[0], "f", w[1]);
+            }
+            if i % 4 == 0 {
+                at_bound.add_edge_labelled(w[0], "h", w[1]);
+            }
+        }
+        let mut above = at_bound.clone();
+        above.add_const("isolated");
+        let q = PreparedQuery::parse("(x, f.f*.[h], y)").unwrap();
+        let nre = &q.cnre().atoms[0].nre;
+        assert!(ConstantPairs::eval(&at_bound, nre).is_some());
+        assert!(ConstantPairs::eval(&above, nre).is_none());
+        let mut s = session_2_2();
+        let dense = s
+            .intersect_rows(std::slice::from_ref(&at_bound), true, &q)
+            .unwrap();
+        let planned = s
+            .intersect_rows(std::slice::from_ref(&above), true, &q)
+            .unwrap();
+        assert_eq!(dense, planned);
+        assert_eq!(
+            dense.0,
+            planned_intersection(std::slice::from_ref(&at_bound), &q)
+        );
+        assert_eq!(dense.0.len(), 512 * 4);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //!   restrictions under which the paper's hardness results already hold;
 //! * [`mod@eval`] — `⟦r⟧_G` by bottom-up relational evaluation with BFS-based
 //!   Kleene closure, plus single-source variants;
+//! * [`dense`] — `⟦r⟧_G` as a Boolean matrix of `u64` words on small
+//!   graphs, for consumers that need a pair *set*, not a pair order;
 //! * [`nfa`] — the ε-free Thompson automaton of an NRE (nesting tests as
 //!   guard transitions), shared by demand evaluation and the DFA-based
 //!   inclusion checks of `gdx-automata`;
@@ -43,6 +45,7 @@
 pub mod ast;
 pub mod classify;
 pub mod demand;
+pub mod dense;
 pub mod eval;
 pub mod incremental;
 pub mod nfa;

@@ -4,10 +4,12 @@
 
 use gdx_graph::{Graph, NodeId};
 use gdx_nre::ast::Nre;
+use gdx_nre::dense::DenseRel;
 use gdx_nre::eval::{eval, eval_from};
 use gdx_nre::parse::parse_nre;
 use gdx_nre::witness::{self, EnumConfig};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: random NREs over the alphabet {a, b, c}, depth-bounded.
 fn arb_nre() -> impl Strategy<Value = Nre> {
@@ -68,8 +70,42 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: random graphs of up to 140 nodes, so relation rows span
+/// several 64-bit words, with some nodes on no edge.
+fn arb_wide_graph() -> impl Strategy<Value = Graph> {
+    (
+        1u32..140,
+        proptest::collection::vec((0u32..140, 0u8..3, 0u32..140), 0..200),
+    )
+        .prop_map(|(n, edges)| {
+            let mut g = Graph::new();
+            let nodes: Vec<NodeId> = (0..n).map(|i| g.add_const(&format!("w{i}"))).collect();
+            for (s, l, d) in edges {
+                let label = ["a", "b", "c"][l as usize];
+                g.add_edge_labelled(nodes[(s % n) as usize], label, nodes[(d % n) as usize]);
+            }
+            g
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The dense kernel and the materializing evaluator give the same
+    /// pair set, on small graphs and on graphs whose rows span several
+    /// words, over NREs with tests, inverses, ε, unions and nested stars.
+    #[test]
+    fn dense_eval_agrees_with_eval_as_sets(
+        r in arb_nre(),
+        g in arb_graph(),
+        wide in arb_wide_graph(),
+    ) {
+        for graph in [&g, &wide] {
+            let dense: BTreeSet<(NodeId, NodeId)> = DenseRel::eval(graph, &r).pairs().collect();
+            let sparse: BTreeSet<(NodeId, NodeId)> = eval(graph, &r).iter().collect();
+            prop_assert_eq!(dense, sparse, "{} on {} nodes", r, graph.node_count());
+        }
+    }
 
     /// Printing then reparsing yields the *structurally identical* tree —
     /// not merely a display fixpoint. This pins the right-associated

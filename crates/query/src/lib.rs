@@ -12,6 +12,10 @@
 //!
 //! * [`Cnre`] / [`CnreAtom`] — the query type with a text format
 //!   `(x1, f.f*, y), (y, h, x4)` (quoted names are constants);
+//! * [`ConstantPairs`] / [`ConstantRows`] — the constant rows of a
+//!   single-atom query as bit sets, evaluated by the dense kernel
+//!   ([`gdx_nre::dense::DenseRel`]) and intersected word-wise across graphs: the
+//!   order-free route of certain answers;
 //! * [`PreparedQuery`] — parse + validate once, pre-compile the demand
 //!   automata, evaluate many times (across graphs, epochs and threads);
 //!   the evaluation surface;
@@ -30,6 +34,7 @@
 )]
 
 pub mod cnre;
+pub mod constant_rows;
 pub mod eval;
 pub mod explain;
 pub mod plan;
@@ -37,6 +42,7 @@ pub mod prepared;
 pub mod seminaive;
 
 pub use cnre::{Cnre, CnreAtom};
+pub use constant_rows::{ConstantPairs, ConstantRows};
 pub use eval::{NodeBindings, Rows};
 pub use explain::{explain_query, AtomExplain, PlanExplain};
 pub use plan::{AccessChoice, PlannerMode};

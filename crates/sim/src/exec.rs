@@ -898,7 +898,7 @@ fn check_sandwich(
 
     // The same answer, sorted and cut as the session returns it.
     let mut rows: Vec<Vec<Node>> = intersection.unwrap_or_default().into_iter().collect();
-    rows.sort_by_key(|r| r.iter().map(|n| n.name().as_str()).collect::<Vec<_>>());
+    rows.sort_by_cached_key(|r| r.iter().map(|n| n.name().as_str()).collect::<Vec<_>>());
     let mut exact = family_exact;
     if let Some(cap) = options.row_limit {
         if rows.len() > cap {

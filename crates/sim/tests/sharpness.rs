@@ -9,13 +9,18 @@
 //!   its lifted nesting-test atoms, caught by the sandwich oracle;
 //! * `--features fault-entail-any`: pattern entailment accepts a path
 //!   when *some* state its words reach accepts, instead of all, caught
-//!   by the sandwich oracle.
+//!   by the sandwich oracle;
+//! * `--features fault-dense-star`: the dense kernel's star drops the
+//!   reflexive pair of a node that reaches itself by no step, so the
+//!   session's order-free constant rows lose answers, caught by the
+//!   sandwich oracle.
 //!
 //! Run with: `cargo test -p gdx-sim --features <fault> --test sharpness`
 #![cfg(any(
     feature = "fault-delta-window",
     feature = "fault-lift-test",
-    feature = "fault-entail-any"
+    feature = "fault-entail-any",
+    feature = "fault-dense-star"
 ))]
 
 use gdx_sim::campaign::{replay_text, run_campaign, Replayed};
@@ -37,6 +42,12 @@ fn sandwich_oracle_catches_the_dropped_test_atom_within_200_seeds() {
 #[test]
 fn sandwich_oracle_catches_any_state_entailment_within_200_seeds() {
     catches_and_shrinks(Oracle::Sandwich, "fault-entail-any");
+}
+
+#[cfg(feature = "fault-dense-star")]
+#[test]
+fn sandwich_oracle_catches_the_irreflexive_dense_star_within_200_seeds() {
+    catches_and_shrinks(Oracle::Sandwich, "fault-dense-star");
 }
 
 fn catches_and_shrinks(oracle: Oracle, fault: &str) {
