@@ -48,7 +48,7 @@ use gdx_nre::witness;
 use gdx_nre::IncrementalCache;
 use gdx_obs::Obs;
 use gdx_query::{evaluate_seeded_incremental_exists, PreparedQuery, SemiNaiveState};
-use gdx_runtime::{Runtime, Threads};
+use gdx_runtime::Threads;
 
 /// Body-evaluation strategy of the target-tgd chase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,11 +72,8 @@ pub struct TgdChaseConfig {
     pub max_steps: usize,
     /// Body-evaluation strategy.
     pub mode: TgdChaseMode,
-    /// Worker pool for the semi-naive engine's delta joins and the
-    /// speculative head pre-filter. The chase result — graph, firing
-    /// order, fresh-null names, [`ChaseStats`] — is byte-identical at any
-    /// worker count; threads only change wall-clock. Naive mode (the
-    /// oracle) ignores this and stays strictly sequential.
+    /// Ignored: the chase runs on the calling thread. The field stays for
+    /// source compatibility with callers that set it.
     pub threads: Threads,
 }
 
@@ -172,8 +169,8 @@ struct RuleState {
     /// checks.
     head: IncrementalCache,
     /// Body and head compiled once per engine: every head check (the
-    /// incremental one, the speculative pre-filter, naive mode's cold
-    /// caches) creates its evaluators from `head_q`'s automata.
+    /// incremental one, naive mode's cold caches) creates its evaluators
+    /// from `head_q`'s automata.
     body_q: PreparedQuery,
     head_q: PreparedQuery,
     /// Alphabet symbols of the body NREs: an edge with a foreign label
@@ -214,8 +211,6 @@ impl RuleState {
 #[derive(Debug)]
 pub struct TgdChaseEngine {
     cfg: TgdChaseConfig,
-    /// Worker pool resolved once from `cfg.threads`.
-    runtime: Runtime,
     rules: Vec<RuleState>,
     nulls: NullFactory,
     /// The graph value the caches are valid for.
@@ -233,7 +228,6 @@ impl TgdChaseEngine {
     pub fn new(tgds: &[TargetTgd], cfg: TgdChaseConfig) -> TgdChaseEngine {
         TgdChaseEngine {
             cfg,
-            runtime: Runtime::new(cfg.threads),
             rules: tgds.iter().map(RuleState::new).collect(),
             nulls: NullFactory::new(),
             graph: None,
@@ -246,12 +240,10 @@ impl TgdChaseEngine {
     /// Attach an observability sink: each [`TgdChaseEngine::run`] spans
     /// `chase.run`, records its per-turn delta-window sizes into the
     /// `chase.delta_window` histogram, and flushes the run's
-    /// [`ChaseStats`] delta into `chase.*` counters. The engine's worker
-    /// pool inherits the same sink. Recording never changes the chase
-    /// itself — graph, firing order, null names and stats stay
-    /// byte-identical.
+    /// [`ChaseStats`] delta into `chase.*` counters. Recording never
+    /// changes the chase itself — graph, firing order, null names and
+    /// stats stay byte-identical.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.runtime = self.runtime.clone().with_obs(obs.clone());
         self.obs = obs;
     }
 
@@ -325,7 +317,6 @@ impl TgdChaseEngine {
             self.stats.turns += 1;
             let turn_start = graph.epoch();
 
-            let rt = self.runtime.clone();
             let matches = {
                 let rule = &mut self.rules[ri];
                 if rule.primed {
@@ -334,28 +325,15 @@ impl TgdChaseEngine {
                     self.stats.full_evals += 1;
                     rule.primed = true;
                 }
-                rule.body.delta_matches_rt(graph, &rule.tgd.body, &rt)?
+                rule.body.delta_matches(graph, &rule.tgd.body)?
             };
             self.stats.body_rows += matches.len();
             self.obs.observe("chase.delta_window", matches.len() as u64);
 
             let vars: Vec<Symbol> = matches.vars().to_vec();
-            // Speculative parallel head pre-filter: check every match's
-            // head against the *batch-start* graph across workers. Heads
-            // are positive and the tgd chase only grows the graph, so a
-            // "witnessed" verdict is monotone — those rows can never fire
-            // and are skipped outright. "Unwitnessed" verdicts are only
-            // hints: the sequential loop below re-checks them against the
-            // current graph (earlier firings in this batch may have
-            // produced the witness), in exactly the order and with
-            // exactly the outcomes of a 1-worker run.
-            let rule = &self.rules[ri];
-            let spec_witnessed =
-                speculative_head_filter(graph, &rule.tgd, &rule.head_q, &vars, &matches, &rt)?;
-            for (row, &witnessed_at_start) in matches.rows().zip(&spec_witnessed) {
-                if witnessed_at_start {
-                    continue;
-                }
+            // Each head is checked against the *current* graph: earlier
+            // firings in this batch may have produced its witness.
+            for row in matches.rows() {
                 let m: FxHashMap<Symbol, NodeId> =
                     vars.iter().copied().zip(row.iter().copied()).collect();
                 let rule = &mut self.rules[ri];
@@ -474,58 +452,6 @@ fn head_witnessed(
     let mut cache = EvalCache::new();
     let seed = head_seed(tgd, body_match);
     head_q.evaluate_seeded_exists(graph, &mut cache, &seed)
-}
-
-/// Minimum match rows in a batch before the head pre-filter fans out.
-const SPEC_MIN_ROWS: usize = 512;
-
-/// Speculatively head-checks a batch of body matches against the current
-/// graph, one worker chunk at a time, through the rule's prepared head
-/// (shared by every worker) and one [`EvalCache`] per chunk for the
-/// memos. Returns one flag per row:
-/// `true` = head witnessed *now*, which by monotonicity (positive heads,
-/// growing graph) remains witnessed through all later firings, so the
-/// row can be skipped without affecting the firing sequence. `false` is
-/// merely "recheck sequentially".
-///
-/// Sequential runtimes (or small batches) skip the speculation entirely
-/// and report all-`false`. Speculation bounds the extra work at one
-/// redundant head check per row that ends up firing (re-checked
-/// sequentially against the current graph), spread over the workers — a
-/// net win whenever a meaningful share of the batch is already
-/// witnessed, and at worst ~2/N of the sequential head-check time.
-fn speculative_head_filter(
-    graph: &Graph,
-    tgd: &TargetTgd,
-    head_q: &PreparedQuery,
-    vars: &[Symbol],
-    matches: &gdx_query::NodeBindings,
-    rt: &Runtime,
-) -> Result<Vec<bool>> {
-    if !rt.is_parallel() || matches.len() < SPEC_MIN_ROWS {
-        return Ok(vec![false; matches.len()]);
-    }
-    // Row slices into the flat bindings buffer, so chunks stay slices.
-    let rows: Vec<&[NodeId]> = matches.rows().collect();
-    // About two chunks per worker: each chunk starts a cold cache, so
-    // coarse chunks keep more of its memos warm.
-    let chunk = rows.len().div_ceil(rt.workers() * 2).max(64);
-    let chunks = rt.par_chunks(&rows, chunk, |_, chunk| -> Result<Vec<bool>> {
-        let mut cache = EvalCache::new();
-        chunk
-            .iter()
-            .map(|row| {
-                let m: FxHashMap<Symbol, NodeId> =
-                    vars.iter().copied().zip(row.iter().copied()).collect();
-                head_q.evaluate_seeded_exists(graph, &mut cache, &head_seed(tgd, &m))
-            })
-            .collect()
-    });
-    let mut flags = Vec::with_capacity(rows.len());
-    for chunk in chunks {
-        flags.extend(chunk?);
-    }
-    Ok(flags)
 }
 
 /// Incremental variant: the per-rule head cache (materialized relations

@@ -60,7 +60,7 @@ SIMULATION (differential fuzzing, see ARCHITECTURE.md):
   replay exits non-zero while the recorded failure still reproduces.
 
 SHARED OPTIONS (every subcommand):
-  --threads N       worker threads for the parallel runtime (default:
+  --threads N       solution graphs evaluated at once (default:
                     GDX_THREADS env, else the machine's parallelism);
                     results are identical at any worker count
   --max-graphs N    candidate-instantiation cap (default 256)

@@ -365,8 +365,8 @@ fn info_reports_parallelism() {
     );
     // `--threads` requests a count; the effective workers are clamped to
     // the machine's detected parallelism (a serial host reports 1, so the
-    // chase takes the inline sequential path instead of paying for
-    // speculation it cannot cash in).
+    // family scan runs inline instead of paying for threads that cannot
+    // run at once).
     let detected = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let out = stdout_of(&["info", "--threads", "3"]);
     let expect = format!("effective workers: {}", 3.min(detected));

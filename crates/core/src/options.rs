@@ -54,16 +54,13 @@ pub struct Options {
     /// (`~{seed}`, see [`gdx_graph::NullFactory::starting_at`]) — lets
     /// co-hosted sessions keep disjoint, reproducible null namespaces.
     pub null_seed: u64,
-    /// Worker count for the session's parallel layers (the `gdx-runtime`
-    /// pool): sharded chase delta joins, the speculative head pre-filter,
-    /// partitioned NRE materialization, and the certain-answer fan-out
-    /// over the solution family. Defaults to [`Threads::Auto`]
-    /// (`GDX_THREADS` env, else the machine's available parallelism).
-    /// Every session result is byte-identical at any worker count —
-    /// threads only change wall-clock. This knob also governs the
-    /// engines' pools, overriding `tgd_chase.threads`.
-    /// [`Threads::Fixed`]`(0)` is not an error: worker counts clamp to
-    /// at least one, so it behaves exactly like `Fixed(1)`.
+    /// How many solution graphs a certain-answer scan evaluates at once
+    /// (the `gdx-runtime` pool); everything else in a request runs on the
+    /// calling thread. Defaults to [`Threads::Auto`] (`GDX_THREADS` env,
+    /// else the machine's available parallelism). Every session result is
+    /// byte-identical at any worker count — threads only change
+    /// wall-clock. [`Threads::Fixed`]`(0)` is not an error: worker counts
+    /// clamp to at least one, so it behaves exactly like `Fixed(1)`.
     pub threads: Threads,
     /// Per-request wall-clock budget in microseconds, measured on the
     /// session's *injected* observability clock ([`gdx_obs::Clock`] via

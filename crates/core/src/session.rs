@@ -62,7 +62,6 @@ use gdx_obs::Obs;
 use gdx_pattern::InstantiationFamily;
 use gdx_query::{ConstantPairs, ConstantRows, PlannerMode, PreparedQuery};
 use gdx_relational::Instance;
-use gdx_runtime::Runtime;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A stateful exchange session over one `(setting, instance)` pair.
@@ -180,7 +179,7 @@ impl ExchangeSession {
     /// lower-bound phase breakdown (`session.phase.*_us` histograms,
     /// timestamps from the sink's injected clock), and threads the sink
     /// into the chase engines, the demand evaluators' stat bridges and
-    /// the runtime pools it builds.
+    /// the family scan's runtime pool.
     /// Recording never changes any result — every output stays
     /// byte-identical to the disabled run.
     ///
@@ -198,11 +197,6 @@ impl ExchangeSession {
     /// [`ExchangeSession::set_obs`] attached one).
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// The session's runtime handle with the observability sink attached.
-    fn runtime(&self) -> Runtime {
-        self.options.runtime().with_obs(self.obs.clone())
     }
 
     /// Builder-style options override (typically right after
@@ -292,7 +286,7 @@ impl ExchangeSession {
     )]
     pub fn is_solution(&mut self, graph: &Graph) -> Result<bool> {
         if self.checker.is_none() {
-            self.checker = Some(SolutionChecker::new(&self.setting).with_runtime(self.runtime()));
+            self.checker = Some(SolutionChecker::new(&self.setting));
         }
         let verify_start = self.obs.now_micros();
         let verdict = self
@@ -878,21 +872,22 @@ impl ExchangeSession {
     /// Evaluates `query` over every graph of the (temporarily detached)
     /// solution family, returning one result per graph in family order.
     ///
-    /// One path at every worker count: each graph's persistent cache
-    /// leaves `graph_caches` for the duration of the call, the family fans
-    /// out one graph per worker through [`Runtime::par_map_mut`] (inline,
-    /// in order, at one worker), and the caches merge back at the
-    /// barrier. The shared query brings the compiled automata; each
-    /// graph's cache holds that graph's demand memos. A single-graph
-    /// family moves the parallelism *inside* its evaluation instead.
+    /// The family's graphs share nothing, so this is the one place a
+    /// request fans out. One path at every worker count: each graph's
+    /// persistent cache leaves `graph_caches` for the duration of the
+    /// call, the family fans out one graph per worker through
+    /// [`gdx_runtime::Runtime::par_map_mut`] (inline, in order, at one
+    /// worker), and the caches merge back at the barrier. The shared query
+    /// brings the compiled automata; each graph's cache holds that graph's
+    /// demand memos.
     ///
     /// `stop_at_first_empty` gives the scan a first-counterexample early
     /// exit: no graph past the lowest-index empty result (or error) found
     /// so far is started, so one worker stops exactly there, and the
     /// returned vector is a prefix of the family ending at its first
-    /// empty result. Parallel workers may have probed a little past it;
-    /// callers only rely on the *lowest-index* empty entry, which every
-    /// schedule agrees on.
+    /// empty result. Parallel workers may have probed past it while it
+    /// ran; callers only rely on the *lowest-index* empty entry, which
+    /// every schedule agrees on.
     fn family_probe(
         &mut self,
         graphs: &[Graph],
@@ -923,12 +918,7 @@ impl ExchangeSession {
         stop_at_first_empty: bool,
     ) -> Result<Vec<gdx_query::NodeBindings>> {
         let planner = self.options.planner;
-        let rt = self.runtime();
-        let inner = if graphs.len() <= 1 {
-            rt.clone()
-        } else {
-            Runtime::sequential()
-        };
+        let rt = self.options.runtime().with_obs(self.obs.clone());
         let mut caches: Vec<EvalCache> = graphs
             .iter()
             .map(|g| self.graph_caches.remove(&g.id()).unwrap_or_default())
@@ -940,14 +930,8 @@ impl ExchangeSession {
             if stop_at.load(Ordering::Relaxed) < i {
                 return None;
             }
-            let res = query.evaluate_limited_rt(
-                &graphs[i],
-                cache,
-                &FxHashMap::default(),
-                planner,
-                limit,
-                &inner,
-            );
+            let res =
+                query.evaluate_limited(&graphs[i], cache, &FxHashMap::default(), planner, limit);
             if res
                 .as_ref()
                 .map_or(true, |b| stop_at_first_empty && b.is_empty())
@@ -995,19 +979,13 @@ impl ExchangeSession {
         if !self.engines_ready {
             self.sameas_engine =
                 (!self.same_as.is_empty()).then(|| SameAsEngine::new(&self.same_as));
-            // `Options::threads` is the session-level knob: it overrides
-            // whatever the embedded chase config carries.
-            let tgd_cfg = gdx_chase::TgdChaseConfig {
-                threads: self.options.threads,
-                ..self.options.tgd_chase
-            };
             self.tgd_engine = (!self.target_tgds.is_empty()).then(|| {
-                TgdChaseEngine::new(&self.target_tgds, tgd_cfg).with_obs(self.obs.clone())
+                TgdChaseEngine::new(&self.target_tgds, self.options.tgd_chase)
+                    .with_obs(self.obs.clone())
             });
             self.repairer = Some(EgdRepairer::new(&self.egds));
             if self.checker.is_none() {
-                self.checker =
-                    Some(SolutionChecker::new(&self.setting).with_runtime(self.runtime()));
+                self.checker = Some(SolutionChecker::new(&self.setting));
             }
             self.engines_ready = true;
         }

@@ -21,10 +21,6 @@ use gdx_query::PreparedQuery;
 use gdx_relational::{evaluate as eval_cq, Instance};
 use gdx_runtime::Runtime;
 
-/// Minimum obligations (triggers / body matches) before a verification
-/// pass fans out across workers.
-const PAR_MIN_OBLIGATIONS: usize = 64;
-
 /// Exact membership test for `Sol_Ω(I)`.
 ///
 /// One-shot wrapper around [`SolutionChecker`]; callers testing many
@@ -84,9 +80,6 @@ pub struct SolutionChecker {
     /// Prepared heads, aligned with `setting.st_tgds`.
     st_heads: Vec<PreparedQuery>,
     constraints: Vec<PreparedConstraint>,
-    /// Worker pool for fanning witness obligations out (see
-    /// [`SolutionChecker::with_runtime`]); sequential by default.
-    runtime: Runtime,
 }
 
 impl SolutionChecker {
@@ -124,56 +117,33 @@ impl SolutionChecker {
             setting: setting.clone(),
             st_heads,
             constraints,
-            runtime: Runtime::sequential(),
         }
     }
 
-    /// A checker that verifies its witness obligations (s-t tgd triggers,
-    /// target-tgd body matches) speculatively across the runtime's
-    /// workers: a 1-worker check stops at the first violated obligation,
-    /// a parallel one checks whole batches ahead of that point — the
-    /// verdict is identical, only wall-clock differs. Sessions build
-    /// their checker with their `Options::threads` pool.
+    /// The same checker: it runs on the calling thread and ignores
+    /// `runtime`. It stays for source compatibility with callers that
+    /// pass their session's pool.
+    #[expect(
+        unused_mut,
+        reason = "the signature is kept as published, `mut self` included"
+    )]
     pub fn with_runtime(mut self, runtime: Runtime) -> SolutionChecker {
-        self.runtime = runtime;
+        let _ = runtime;
         self
     }
 
     /// Checks one batch of seeded head-witness obligations through the
-    /// prepared `head`. Batches below [`PAR_MIN_OBLIGATIONS`] form one
-    /// chunk; larger ones are cut into about two chunks per worker. Each
-    /// chunk probes with its own [`EvalCache`] and stops at its first
-    /// unwitnessed obligation — a 1-worker runtime runs the chunks inline
-    /// in order, so it stops at the first violation overall, while a
-    /// parallel one checks later chunks speculatively. The verdict is the
-    /// same either way.
+    /// prepared `head`, with one [`EvalCache`] for the batch, stopping at
+    /// the first unwitnessed obligation.
     fn witnesses_all(
         &self,
         graph: &Graph,
         head: &PreparedQuery,
         seeds: &[FxHashMap<Symbol, NodeId>],
     ) -> Result<bool> {
-        let chunk = if seeds.len() < PAR_MIN_OBLIGATIONS {
-            seeds.len()
-        } else {
-            seeds
-                .len()
-                .div_ceil(self.runtime.workers() * 2)
-                .max(PAR_MIN_OBLIGATIONS / 4)
-        };
-        let verdicts = self
-            .runtime
-            .par_chunks(seeds, chunk, |_, chunk| -> Result<bool> {
-                let mut cache = EvalCache::new();
-                for seed in chunk {
-                    if !head.evaluate_seeded_exists(graph, &mut cache, seed)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            });
-        for v in verdicts {
-            if !v? {
+        let mut cache = EvalCache::new();
+        for seed in seeds {
+            if !head.evaluate_seeded_exists(graph, &mut cache, seed)? {
                 return Ok(false);
             }
         }
@@ -213,8 +183,7 @@ impl SolutionChecker {
             }
             // Frontier variables are seeded: the planner probes each head
             // by product-BFS from the bound endpoints, early-exiting at
-            // the first witness — across workers when the trigger batch
-            // is large.
+            // the first witness.
             if !self.witnesses_all(graph, head, &seeds)? {
                 return Ok(false);
             }

@@ -9,7 +9,6 @@
 use crate::ast::Nre;
 use gdx_common::{FxHashMap, FxHashSet, ScratchBits, Symbol};
 use gdx_graph::{Graph, NodeId};
-use gdx_runtime::Runtime;
 
 /// Flat, arena-backed adjacency: every key's neighbor block lives in one
 /// shared backing array, addressed *directly* by the dense `NodeId` — no
@@ -303,43 +302,31 @@ impl BinRel {
         r
     }
 
-    /// Appends every pair of `part` — callers guarantee disjointness
-    /// (merging per-source star chunks, per-group composition chunks).
-    fn append_disjoint(&mut self, part: &BinRel) {
-        for (u, v) in part.iter() {
-            self.push_new(u, v);
-        }
-    }
-
     /// Relation composition `self ; other`.
     pub fn compose(&self, other: &BinRel) -> BinRel {
-        let keys: Vec<NodeId> = self.domain().collect();
-        let mut out = BinRel::new();
-        compose_keys(&keys, self, other, &mut out);
+        let mut out = compose_unsealed(self, other);
         out.seal_pairs();
         out
     }
 
     /// Reflexive-transitive closure over the node universe of `graph`.
     pub fn star(&self, graph: &Graph) -> BinRel {
-        let mut out = BinRel::new();
-        let sources: Vec<NodeId> = graph.node_ids().collect();
-        star_into(self, &sources, &mut out);
+        let mut out = star_unsealed(self, graph);
         out.seal_pairs();
         out
     }
 }
 
-/// Composition restricted to the given source keys, appended to `out`.
-/// Shared by [`BinRel::compose`] and the chunked [`compose_rt`] so the two
-/// paths cannot drift apart (the insertion-log order is part of the delta
-/// protocol's correctness). Iterating *grouped by source* is what makes
-/// the construction hash-free: within one source, a dense bitset dedups
-/// the candidate targets; across sources (and so across worker chunks)
-/// pairs cannot collide at all.
-fn compose_keys(keys: &[NodeId], a: &BinRel, b: &BinRel, out: &mut BinRel) {
+/// `a ; b` with an unsealed pair index. Shared by [`BinRel::compose`] and
+/// [`eval`] so the two cannot drift apart (the insertion-log order is part
+/// of the delta protocol's correctness). Iterating *grouped by source* is
+/// what makes the construction hash-free: within one source, a dense
+/// bitset dedups the candidate targets; across sources pairs cannot
+/// collide at all.
+fn compose_unsealed(a: &BinRel, b: &BinRel) -> BinRel {
+    let mut out = BinRel::new();
     let mut seen = ScratchBits::new();
-    for &u in keys {
+    for u in a.domain() {
         seen.reset();
         for &m in a.image(u) {
             for &v in b.image(m) {
@@ -349,20 +336,22 @@ fn compose_keys(keys: &[NodeId], a: &BinRel, b: &BinRel, out: &mut BinRel) {
             }
         }
     }
+    out
 }
 
-/// Star closure restricted to the given BFS sources, appended to `out`.
-/// Shared by [`BinRel::star`] and the chunked [`star_rt`] — one traversal
-/// definition, so log order is identical at any chunking.
+/// Star closure over the node universe of `graph`, with an unsealed pair
+/// index. Shared by [`BinRel::star`] and [`eval`] — one traversal
+/// definition, so the log order is the same on both paths.
 ///
 /// The visited set is a dense bitset over node ids, reset (in time
 /// proportional to the previous source's reach) rather than reallocated
 /// between sources: the closure loop runs once per node of the graph, so
 /// per-source hash-set churn used to dominate its cost.
-fn star_into(inner: &BinRel, sources: &[NodeId], out: &mut BinRel) {
+fn star_unsealed(inner: &BinRel, graph: &Graph) -> BinRel {
+    let mut out = BinRel::new();
     let mut seen = ScratchBits::new();
     let mut frontier: Vec<NodeId> = Vec::new();
-    for &src in sources {
+    for src in graph.node_ids() {
         // DFS-order expansion from src over the relation's adjacency.
         seen.reset();
         frontier.clear();
@@ -378,6 +367,7 @@ fn star_into(inner: &BinRel, sources: &[NodeId], out: &mut BinRel) {
             }
         }
     }
+    out
 }
 
 /// Evaluates `⟦r⟧_G`.
@@ -393,27 +383,12 @@ fn star_into(inner: &BinRel, sources: &[NodeId], out: &mut BinRel) {
 /// assert!(r.contains(a, c));
 /// assert_eq!(r.len(), 1);
 /// ```
+///
+/// The returned relation is sealed; the intermediate subexpression
+/// relations live and die inside this call without ever paying for a
+/// pair index.
 pub fn eval(graph: &Graph, r: &Nre) -> BinRel {
-    eval_rt(graph, r, &Runtime::sequential())
-}
-
-/// Minimum BFS sources per worker chunk before a star closure fans out.
-const PAR_MIN_SOURCES: usize = 64;
-/// Minimum outer pairs per worker chunk before a composition fans out.
-const PAR_MIN_PAIRS: usize = 1024;
-
-/// [`eval`] with an explicit [`Runtime`]: the expensive constructors —
-/// Kleene-star closures (independent per-source BFS) and compositions
-/// (independent per-source candidate scans) — partition their work across
-/// the runtime's workers. Partitions are keyed by source node, so chunk
-/// outputs are pairwise disjoint and merge by plain concatenation **in
-/// chunk order** — the result (including the insertion log driving
-/// [`BinRel::pairs_since`] deltas) is byte-identical to the sequential
-/// evaluation at any worker count. The returned relation is sealed; the
-/// intermediate subexpression relations live and die inside this call
-/// without ever paying for a pair index.
-pub fn eval_rt(graph: &Graph, r: &Nre, rt: &Runtime) -> BinRel {
-    let mut rel = eval_unsealed(graph, r, rt);
+    let mut rel = eval_unsealed(graph, r);
     rel.seal_pairs();
     rel
 }
@@ -421,7 +396,7 @@ pub fn eval_rt(graph: &Graph, r: &Nre, rt: &Runtime) -> BinRel {
 /// The recursive evaluation core; results may have an unsealed pair
 /// index (exact for everything but O(1) `contains`, which the pipeline
 /// itself never calls).
-fn eval_unsealed(graph: &Graph, r: &Nre, rt: &Runtime) -> BinRel {
+fn eval_unsealed(graph: &Graph, r: &Nre) -> BinRel {
     match r {
         Nre::Epsilon => BinRel::from_unique_pairs(
             graph.node_count(),
@@ -440,77 +415,20 @@ fn eval_unsealed(graph: &Graph, r: &Nre, rt: &Runtime) -> BinRel {
         ),
         Nre::Union(x, y) => {
             // `insert` needs membership, so the union target seals once.
-            let mut rel = eval_unsealed(graph, x, rt);
-            for (u, v) in eval_unsealed(graph, y, rt).iter() {
+            let mut rel = eval_unsealed(graph, x);
+            for (u, v) in eval_unsealed(graph, y).iter() {
                 rel.insert(u, v);
             }
             rel
         }
-        Nre::Concat(x, y) => compose_rt(
-            &eval_unsealed(graph, x, rt),
-            &eval_unsealed(graph, y, rt),
-            rt,
-        ),
-        Nre::Star(inner) => star_rt(&eval_unsealed(graph, inner, rt), graph, rt),
+        Nre::Concat(x, y) => compose_unsealed(&eval_unsealed(graph, x), &eval_unsealed(graph, y)),
+        Nre::Star(inner) => star_unsealed(&eval_unsealed(graph, inner), graph),
         Nre::Test(inner) => {
-            let rel = eval_unsealed(graph, inner, rt);
+            let rel = eval_unsealed(graph, inner);
             let hint = rel.len().min(graph.node_count());
             BinRel::from_unique_pairs(hint, hint, rel.domain().map(|u| (u, u)))
         }
     }
-}
-
-/// Concatenates per-chunk partial relations in chunk order. Chunks are
-/// keyed by disjoint source-node ranges, so no dedup is needed and the
-/// merged insertion log equals the one the sequential loop would have
-/// produced.
-fn merge_disjoint_chunks(parts: Vec<BinRel>) -> BinRel {
-    let mut it = parts.into_iter();
-    let Some(mut acc) = it.next() else {
-        return BinRel::new();
-    };
-    for part in it {
-        acc.append_disjoint(&part);
-    }
-    acc
-}
-
-/// `a ; b`, the candidate scan grouped by source node ([`compose_keys`])
-/// and partitioned across workers when the expected candidate volume
-/// clears the granularity threshold. Grouping by source is what keeps
-/// the whole pipeline hash-free: per-source bitsets dedup within a
-/// chunk, and cross-chunk duplicates cannot exist.
-fn compose_rt(a: &BinRel, b: &BinRel, rt: &Runtime) -> BinRel {
-    let keys: Vec<NodeId> = a.domain().collect();
-    if !rt.is_parallel() || a.len() < PAR_MIN_PAIRS * 2 {
-        let mut out = BinRel::new();
-        compose_keys(&keys, a, b, &mut out);
-        return out;
-    }
-    // Size chunks so each carries roughly PAR_MIN_PAIRS outer pairs.
-    let min_keys = (keys.len() * PAR_MIN_PAIRS / a.len().max(1)).max(16);
-    merge_disjoint_chunks(rt.par_chunks(&keys, min_keys, |_, chunk| {
-        let mut out = BinRel::new();
-        compose_keys(chunk, a, b, &mut out);
-        out
-    }))
-}
-
-/// Reflexive-transitive closure with the per-source BFS partitioned
-/// across workers. Sources never collide (the closure's pairs are keyed
-/// by source), so chunk outputs are disjoint and the merge is exact.
-fn star_rt(inner: &BinRel, graph: &Graph, rt: &Runtime) -> BinRel {
-    let sources: Vec<NodeId> = graph.node_ids().collect();
-    if !rt.is_parallel() || graph.node_count() < PAR_MIN_SOURCES * 2 {
-        let mut out = BinRel::new();
-        star_into(inner, &sources, &mut out);
-        return out;
-    }
-    merge_disjoint_chunks(rt.par_chunks(&sources, PAR_MIN_SOURCES, |_, chunk| {
-        let mut out = BinRel::new();
-        star_into(inner, chunk, &mut out);
-        out
-    }))
 }
 
 /// Nodes reachable from `src` via `r`: `{v | (src, v) ∈ ⟦r⟧_G}`.
@@ -612,27 +530,15 @@ impl EvalCache {
     /// Evaluates with memoization on the NRE (top level only — inner
     /// subexpressions recurse through [`eval`]).
     pub fn eval<'a>(&'a mut self, graph: &Graph, r: &Nre) -> &'a BinRel {
-        self.eval_rt(graph, r, &Runtime::sequential())
-    }
-
-    /// [`EvalCache::eval`] with an explicit [`Runtime`]: a cache miss
-    /// materializes through the partitioned evaluator ([`eval_rt`]); the
-    /// cached relation is byte-identical at any worker count.
-    pub fn eval_rt<'a>(&'a mut self, graph: &Graph, r: &Nre, rt: &Runtime) -> &'a BinRel {
         self.cache
             .entry(r.clone())
-            .or_insert_with(|| eval_rt(graph, r, rt))
+            .or_insert_with(|| eval(graph, r))
     }
 
     /// Materializes `r` without returning it — pair with [`EvalCache::get`]
     /// when several relations must be borrowed simultaneously.
     pub fn ensure(&mut self, graph: &Graph, r: &Nre) {
         self.eval(graph, r);
-    }
-
-    /// [`EvalCache::ensure`] with an explicit [`Runtime`].
-    pub fn ensure_rt(&mut self, graph: &Graph, r: &Nre, rt: &Runtime) {
-        self.eval_rt(graph, r, rt);
     }
 
     /// The cached relation, if [`EvalCache::eval`]/[`EvalCache::ensure`]
@@ -839,34 +745,6 @@ mod tests {
         let n1 = cache.eval(&g, &r).len();
         let n2 = cache.eval(&g, &r).len();
         assert_eq!(n1, n2);
-    }
-
-    #[test]
-    fn parallel_eval_is_byte_identical() {
-        // Big enough to clear the PAR_MIN_* thresholds; the insertion
-        // *logs* (not just the pair sets) must coincide, since delta
-        // consumers read them positionally.
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = (0..400).map(|i| g.add_const(&format!("pn{i}"))).collect();
-        for i in 0..400usize {
-            g.add_edge(ids[i], Symbol::new("f"), ids[(i + 1) % 400]);
-            g.add_edge(ids[i], Symbol::new("f"), ids[(i * 7 + 3) % 400]);
-            if i % 3 == 0 {
-                g.add_edge(ids[i], Symbol::new("h"), ids[(i * 5) % 400]);
-            }
-        }
-        for expr in ["f*", "f.f", "f.f*.[h].f-", "(f+h)*", "f-.(f-)*"] {
-            let r = parse_nre(expr).unwrap();
-            let seq = eval(&g, &r);
-            for workers in [2usize, 4] {
-                let par = eval_rt(&g, &r, &Runtime::with_workers(workers));
-                assert_eq!(
-                    seq.iter().collect::<Vec<_>>(),
-                    par.iter().collect::<Vec<_>>(),
-                    "{expr} at {workers} workers: insertion logs must coincide"
-                );
-            }
-        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ use gdx_graph::{Graph, Node, NodeId};
 use gdx_nre::demand::{DemandEvaluator, DemandPool, DemandStats};
 use gdx_nre::eval::EvalCache;
 use gdx_nre::{BinRel, Nre};
-use gdx_runtime::Runtime;
 use std::cell::RefCell;
 
 /// A flat, row-major buffer of answer rows — the data-plane half of
@@ -53,13 +52,6 @@ impl RowBuf {
         debug_assert_eq!(vars.len(), self.arity);
         self.data.extend(vars.iter().map(|v| binding[v]));
         self.len += 1;
-    }
-
-    /// Concatenates `other`'s rows (same arity) after this buffer's.
-    pub(crate) fn append(&mut self, other: RowBuf) {
-        debug_assert_eq!(self.arity, other.arity);
-        self.data.extend_from_slice(&other.data);
-        self.len += other.len;
     }
 
     pub(crate) fn rows(&self) -> Rows<'_> {
@@ -221,19 +213,16 @@ impl NodeBindings {
 /// Implemented by the cold [`EvalCache`] and the epoch-advancing
 /// [`IncrementalCache`](gdx_nre::IncrementalCache).
 pub(crate) trait RelCache {
-    /// Materializes `r`. The runtime partitions expensive constructions
-    /// (star closures, compositions) across workers where the backing
-    /// cache supports it; the cached relation is byte-identical either
-    /// way.
-    fn ensure(&mut self, graph: &Graph, r: &Nre, rt: &Runtime);
+    /// Materializes `r`.
+    fn ensure(&mut self, graph: &Graph, r: &Nre);
     fn get(&self, r: &Nre) -> Option<&BinRel>;
     fn demand(&self) -> &DemandPool;
     fn demand_mut(&mut self) -> &mut DemandPool;
 }
 
 impl RelCache for EvalCache {
-    fn ensure(&mut self, graph: &Graph, r: &Nre, rt: &Runtime) {
-        EvalCache::ensure_rt(self, graph, r, rt);
+    fn ensure(&mut self, graph: &Graph, r: &Nre) {
+        EvalCache::ensure(self, graph, r);
     }
     fn get(&self, r: &Nre) -> Option<&BinRel> {
         EvalCache::get(self, r)
@@ -247,10 +236,7 @@ impl RelCache for EvalCache {
 }
 
 impl RelCache for gdx_nre::IncrementalCache {
-    // The incremental cache advances by log deltas (cheap by
-    // construction), so it ignores the runtime rather than parallelize
-    // per-delta work that rarely clears a chunk threshold.
-    fn ensure(&mut self, graph: &Graph, r: &Nre, _rt: &Runtime) {
+    fn ensure(&mut self, graph: &Graph, r: &Nre) {
         gdx_nre::IncrementalCache::ensure(self, graph, r);
     }
     fn get(&self, r: &Nre) -> Option<&BinRel> {
@@ -270,20 +256,9 @@ impl RelCache for gdx_nre::IncrementalCache {
 /// outside the demand fragment), then run the mixed join and credit the
 /// demand evaluators' work to the compiled atoms' counters. `limit` stops
 /// the join after that many rows (existence probes pass 1).
-///
-/// The runtime parallelizes two layers: relation materialization (through
-/// [`RelCache::ensure`]) and — for unlimited, fully-materialized joins —
-/// the outer loop of the join itself, partitioning the first atom's
-/// candidate bindings across workers ([`parallel_outer_join`]). Both are
-/// merged in input order, so the answer rows are byte-identical to a
-/// 1-worker evaluation.
 #[expect(
     clippy::expect_used,
     reason = "the `expect(\"ensured\")` cache lookups below follow the ensure pass over the same atoms; a miss is a planner/cache bug that a silent fallback would only hide"
-)]
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the join threads the planner state through every level; bundling it into a struct would only rename the arguments"
 )]
 pub(crate) fn planned_eval<C: RelCache>(
     graph: &Graph,
@@ -293,7 +268,6 @@ pub(crate) fn planned_eval<C: RelCache>(
     seed: &FxHashMap<Symbol, NodeId>,
     mode: PlannerMode,
     limit: Option<usize>,
-    rt: &Runtime,
 ) -> Result<NodeBindings> {
     query.validate(None)?;
     let vars = query.variables();
@@ -314,9 +288,9 @@ pub(crate) fn planned_eval<C: RelCache>(
             // Outside the demand-evaluable fragment: flip back.
             (AccessChoice::Demand, None) => {
                 plan.access[i] = AccessChoice::Materialize;
-                cache.ensure(graph, &atom.nre, rt);
+                cache.ensure(graph, &atom.nre);
             }
-            (AccessChoice::Materialize, _) => cache.ensure(graph, &atom.nre, rt),
+            (AccessChoice::Materialize, _) => cache.ensure(graph, &atom.nre),
         }
     }
     let cache = &*cache;
@@ -359,187 +333,23 @@ pub(crate) fn planned_eval<C: RelCache>(
     )]
     let mut binding: FxHashMap<Symbol, NodeId> = seed.iter().map(|(&v, &id)| (v, id)).collect();
     binding.retain(|v, _| vars.contains(v));
-    let mut rows = match parallel_outer_join(
+    let mut rows = RowBuf::new(vars.len());
+    join_access(
         graph,
         &access,
         &slots,
         &plan.order,
-        &binding,
+        0,
+        &mut binding,
         &vars,
+        &mut rows,
         limit,
-        rt,
-    ) {
-        Some(rows) => rows,
-        None => {
-            let mut rows = RowBuf::new(vars.len());
-            join_access(
-                graph,
-                &access,
-                &slots,
-                &plan.order,
-                0,
-                &mut binding,
-                &vars,
-                &mut rows,
-                limit,
-            );
-            rows
-        }
-    };
+    );
     for (credit, ev, before) in credited {
         credit.add(ev.borrow().stats().delta_since(&before));
     }
     rows.dedup_preserving_order();
     Ok(NodeBindings::from_parts(vars, rows))
-}
-
-/// Minimum depth-0 candidates before the join outer loop fans out.
-const PAR_MIN_OUTER: usize = 256;
-/// Candidates per worker chunk once it does.
-const PAR_OUTER_CHUNK: usize = 64;
-
-/// One depth-0 extension of the join: the variable bindings the first
-/// ordered atom contributes before recursion continues at depth 1.
-enum OuterCand {
-    One(Symbol, NodeId),
-    Two(Symbol, NodeId, Symbol, NodeId),
-}
-
-/// Partitions the outer (depth-0) candidate set of a fully-materialized,
-/// unlimited join across workers; each worker replays the exact recursion
-/// the sequential join would run under its candidates, and per-chunk rows
-/// concatenate in candidate order — byte-identical output.
-///
-/// Returns `None` (caller falls back to the sequential join) when: a
-/// `limit` demands early exit, any atom took the demand access path (its
-/// memoizing evaluator belongs to the caller's one cache), both
-/// endpoints of the outer atom are already bound, or the candidate count
-/// is below [`PAR_MIN_OUTER`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the join threads the planner state through every level; bundling it into a struct would only rename the arguments"
-)]
-fn parallel_outer_join(
-    graph: &Graph,
-    access: &[AtomAccess],
-    slots: &[(TermSlot, TermSlot)],
-    order: &[usize],
-    binding: &FxHashMap<Symbol, NodeId>,
-    vars: &[Symbol],
-    limit: Option<usize>,
-    rt: &Runtime,
-) -> Option<RowBuf> {
-    if limit.is_some() || !rt.is_parallel() || order.is_empty() {
-        return None;
-    }
-    // `AtomAccess` as a *type* cannot cross threads (its demand variant
-    // holds a `RefCell`), so extract the all-materialized view first and
-    // let each worker rebuild its own access vector from the Sync
-    // relations.
-    let mats: Vec<&BinRel> = access
-        .iter()
-        .map(|a| match a {
-            AtomAccess::Mat(rel) => Some(*rel),
-            AtomAccess::Demand(_) => None,
-        })
-        .collect::<Option<_>>()?;
-    let ai = order[0];
-    let (l, r) = slots[ai];
-    let lv = match l {
-        TermSlot::Fixed(id) => Some(id),
-        TermSlot::Var(v) => binding.get(&v).copied(),
-    };
-    let rv = match r {
-        TermSlot::Fixed(id) => Some(id),
-        TermSlot::Var(v) => binding.get(&v).copied(),
-    };
-    let rel = mats[ai];
-    let cands: Vec<OuterCand> = match (lv, rv) {
-        (Some(_), Some(_)) => return None,
-        (Some(u), None) => {
-            let TermSlot::Var(rvar) = r else {
-                unreachable!()
-            };
-            rel.image(u)
-                .iter()
-                .map(|&w| OuterCand::One(rvar, w))
-                .collect()
-        }
-        (None, Some(w)) => {
-            let TermSlot::Var(lvar) = l else {
-                unreachable!()
-            };
-            rel.preimage(w)
-                .iter()
-                .map(|&u| OuterCand::One(lvar, u))
-                .collect()
-        }
-        (None, None) => {
-            let (TermSlot::Var(lvar), TermSlot::Var(rvar)) = (l, r) else {
-                unreachable!()
-            };
-            if lvar == rvar {
-                rel.iter()
-                    .filter(|(u, w)| u == w)
-                    .map(|(u, _)| OuterCand::One(lvar, u))
-                    .collect()
-            } else {
-                rel.iter()
-                    .map(|(u, w)| OuterCand::Two(lvar, u, rvar, w))
-                    .collect()
-            }
-        }
-    };
-    if cands.len() < PAR_MIN_OUTER {
-        return None;
-    }
-    let chunk_rows = rt.par_chunks(&cands, PAR_OUTER_CHUNK, |_, chunk| {
-        let worker_access: Vec<AtomAccess> = mats.iter().map(|r| AtomAccess::Mat(r)).collect();
-        let mut b = binding.clone();
-        let mut rows = RowBuf::new(vars.len());
-        for cand in chunk {
-            match *cand {
-                OuterCand::One(v, id) => {
-                    b.insert(v, id);
-                    join_access(
-                        graph,
-                        &worker_access,
-                        slots,
-                        order,
-                        1,
-                        &mut b,
-                        vars,
-                        &mut rows,
-                        None,
-                    );
-                    b.remove(&v);
-                }
-                OuterCand::Two(lv, lid, rv, rid) => {
-                    b.insert(lv, lid);
-                    b.insert(rv, rid);
-                    join_access(
-                        graph,
-                        &worker_access,
-                        slots,
-                        order,
-                        1,
-                        &mut b,
-                        vars,
-                        &mut rows,
-                        None,
-                    );
-                    b.remove(&rv);
-                    b.remove(&lv);
-                }
-            }
-        }
-        rows
-    });
-    let mut out = RowBuf::new(vars.len());
-    for chunk in chunk_rows {
-        out.append(chunk);
-    }
-    Some(out)
 }
 
 /// Resolves every atom's terms to slots; `None` when a constant is absent

@@ -265,17 +265,14 @@ impl PreparedQuery {
         mode: PlannerMode,
         limit: Option<usize>,
     ) -> Result<NodeBindings> {
-        self.eval_in(graph, cache, seed, mode, limit, &Runtime::sequential())
+        self.eval_in(graph, cache, seed, mode, limit)
     }
 
-    /// [`PreparedQuery::evaluate_limited`] with an explicit [`Runtime`]:
-    /// relation materialization and (for unlimited, fully-materialized
-    /// joins) the join's outer loop partition across the runtime's
-    /// workers. Answers are byte-identical at any worker count.
-    ///
-    /// To fan whole evaluations out instead (one per solution graph),
-    /// call this from each worker with that graph's own cache and a
-    /// sequential runtime; the query itself is shared.
+    /// [`PreparedQuery::evaluate_limited`]: runs on the calling thread and
+    /// ignores `rt`. It stays for source compatibility; to evaluate
+    /// several solution graphs at once, call
+    /// [`PreparedQuery::evaluate_limited`] from one worker per graph, each
+    /// with that graph's own cache — the query itself is shared.
     pub fn evaluate_limited_rt(
         &self,
         graph: &Graph,
@@ -283,9 +280,9 @@ impl PreparedQuery {
         seed: &FxHashMap<Symbol, NodeId>,
         mode: PlannerMode,
         limit: Option<usize>,
-        rt: &Runtime,
+        _rt: &Runtime,
     ) -> Result<NodeBindings> {
-        self.eval_in(graph, cache, seed, mode, limit, rt)
+        self.evaluate_limited(graph, cache, seed, mode, limit)
     }
 
     /// Planned evaluation against any per-graph cache.
@@ -296,18 +293,8 @@ impl PreparedQuery {
         seed: &FxHashMap<Symbol, NodeId>,
         mode: PlannerMode,
         limit: Option<usize>,
-        rt: &Runtime,
     ) -> Result<NodeBindings> {
-        planned_eval(
-            graph,
-            &self.query,
-            &self.compiled,
-            cache,
-            seed,
-            mode,
-            limit,
-            rt,
-        )
+        planned_eval(graph, &self.query, &self.compiled, cache, seed, mode, limit)
     }
 }
 

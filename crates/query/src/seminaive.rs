@@ -27,10 +27,6 @@ use gdx_common::{FxHashMap, FxHashSet, Result, Symbol};
 use gdx_graph::{Graph, NodeId};
 use gdx_nre::incremental::{EvalMark, IncrementalCache};
 use gdx_nre::BinRel;
-use gdx_runtime::Runtime;
-
-/// Minimum delta pairs per worker chunk before a delta join fans out.
-const PAR_MIN_DELTA: usize = 512;
 
 /// Persistent semi-naive evaluation state for one rule body.
 ///
@@ -53,22 +49,11 @@ impl SemiNaiveState {
     /// The matches of `query` over `graph` that did **not** exist at the
     /// previous call (first call: all matches). Works in O(Δ ⋈ …) rather
     /// than re-evaluating the full body.
+    ///
+    /// Rows come in delta-window order (atom by atom, each window in
+    /// relation-log order): the chase's firing order and fresh-null naming
+    /// depend on it.
     pub fn delta_matches(&mut self, graph: &Graph, query: &Cnre) -> Result<NodeBindings> {
-        self.delta_matches_rt(graph, query, &Runtime::sequential())
-    }
-
-    /// [`SemiNaiveState::delta_matches`] with an explicit [`Runtime`]:
-    /// each atom's delta window is sharded into contiguous pair chunks and
-    /// the `Δᵢ ⋈ full others` join runs once per chunk on its own worker.
-    /// Chunk results concatenate in window order, so the returned rows —
-    /// order included — are byte-identical to the 1-worker join (the
-    /// chase's firing order and fresh-null naming depend on this).
-    pub fn delta_matches_rt(
-        &mut self,
-        graph: &Graph,
-        query: &Cnre,
-        rt: &Runtime,
-    ) -> Result<NodeBindings> {
         query.validate(None)?;
         let vars = query.variables();
         let n = query.atoms.len();
@@ -125,44 +110,33 @@ impl SemiNaiveState {
             // semi-naive chase misses firings the naive oracle makes.
             #[cfg(feature = "fault-delta-window")]
             let window = &rels[i].pairs_since(from)[..(to - from).saturating_sub(1)];
-            // Delta atom first, the rest greedily. The order is
-            // chunk-independent: `greedy_order` excludes atom `i`, so it
-            // only consults the *other* atoms' full relations.
+            // Delta atom first, the rest greedily: `greedy_order` excludes
+            // atom `i`, so it only consults the *other* atoms' full
+            // relations.
             let bound: FxHashSet<Symbol> = query.atoms[i].variables().collect();
             let mut order = Vec::with_capacity(n);
             order.push(i);
             order.extend(greedy_order(query, &rels, bound, Some(i)));
-            // Δᵢ ⋈ full others, one shard per contiguous pair chunk. A
-            // match's position only depends on its triggering pair's
-            // window position, so in-order concatenation reproduces the
-            // single-shard row order exactly.
-            let chunk_rows = rt.par_chunks(window, PAR_MIN_DELTA, |_, chunk| {
-                let mut delta_rel = BinRel::new();
-                for &(u, v) in chunk {
-                    delta_rel.insert(u, v);
-                }
-                let mut term_rels: Vec<&BinRel> = rels.clone();
-                term_rels[i] = &delta_rel;
-                let access: Vec<AtomAccess> =
-                    term_rels.iter().map(|r| AtomAccess::Mat(r)).collect();
-                let mut binding: FxHashMap<Symbol, NodeId> = FxHashMap::default();
-                let mut shard_rows = RowBuf::new(vars.len());
-                join_access(
-                    graph,
-                    &access,
-                    &slots,
-                    &order,
-                    0,
-                    &mut binding,
-                    &vars,
-                    &mut shard_rows,
-                    None,
-                );
-                shard_rows
-            });
-            for shard in chunk_rows {
-                rows.append(shard);
+            // Δᵢ ⋈ full others.
+            let mut delta_rel = BinRel::new();
+            for &(u, v) in window {
+                delta_rel.insert(u, v);
             }
+            let mut term_rels: Vec<&BinRel> = rels.clone();
+            term_rels[i] = &delta_rel;
+            let access: Vec<AtomAccess> = term_rels.iter().map(|r| AtomAccess::Mat(r)).collect();
+            let mut binding: FxHashMap<Symbol, NodeId> = FxHashMap::default();
+            join_access(
+                graph,
+                &access,
+                &slots,
+                &order,
+                0,
+                &mut binding,
+                &vars,
+                &mut rows,
+                None,
+            );
         }
         self.marks = new_marks;
 
@@ -189,14 +163,7 @@ pub fn evaluate_seeded_incremental(
     cache: &mut IncrementalCache,
     seed: &FxHashMap<Symbol, NodeId>,
 ) -> Result<NodeBindings> {
-    query.eval_in(
-        graph,
-        cache,
-        seed,
-        PlannerMode::Auto,
-        None,
-        &Runtime::sequential(),
-    )
+    query.eval_in(graph, cache, seed, PlannerMode::Auto, None)
 }
 
 /// Existence probe under a seed against an [`IncrementalCache`]:
@@ -209,14 +176,7 @@ pub fn evaluate_seeded_incremental_exists(
     seed: &FxHashMap<Symbol, NodeId>,
 ) -> Result<bool> {
     Ok(!query
-        .eval_in(
-            graph,
-            cache,
-            seed,
-            PlannerMode::Auto,
-            Some(1),
-            &Runtime::sequential(),
-        )?
+        .eval_in(graph, cache, seed, PlannerMode::Auto, Some(1))?
         .is_empty())
 }
 
