@@ -21,24 +21,33 @@
 //! is on that path. The egd chase cuts paths at `path_bound` edges; the
 //! certain-answer lower bound does not cut them. Both run the code below.
 //!
-//! * **Walk.** [`EntailmentIndex`] decides entailment of a test-free NRE
-//!   by a level-by-level walk per start node over pairs (pattern node,
-//!   interned set of states of the minimized DFA of `s`), not by
-//!   enumerating edge sequences. Steps come from per-node adjacency lists
-//!   sorted by step kind. Each state set has a visited bitset of `n` bits
-//!   (`n` pattern nodes) and the start node a bitset of the nodes it is
-//!   related to, both reused across start nodes; `path_bound` caps the
-//!   number of levels. The frontier is a list, not a bitset: nodes are
-//!   related in breadth-first discovery order, which the egd chase's
-//!   merge order (and so the surviving null names) depends on.
+//! * **Product.** [`EntailmentIndex`] decides entailment of a test-free
+//!   NRE by reachability over pairs (pattern node, interned set of
+//!   states of the minimized DFA of `s`), not by enumerating edge
+//!   sequences. Steps come from per-node adjacency lists sorted by step
+//!   kind, through one transfer table per step kind.
+//! * **Closure.** Without a path bound (the certain-answer lower bound),
+//!   one breadth-first search from every `(u, {q₀})` discovers the live
+//!   product nodes, and one closure on the dense kernel
+//!   ([`gdx_nre::dense::closure`]) relates them all: `u` entails `s` to
+//!   `v` when `(u, {q₀})` reaches some `(v, S)` with `S` accepting. A
+//!   product above [`DENSE_MAX_NODES`] nodes is walked instead.
+//! * **Walk.** With a path bound (the egd chase), and above that size,
+//!   a level-by-level walk per start node: each state set has a visited
+//!   bitset of `n` bits (`n` pattern nodes) and the start node a bitset
+//!   of the nodes it is related to, both reused across start nodes;
+//!   `path_bound` caps the number of levels. The frontier is a list, not
+//!   a bitset: nodes are related in breadth-first discovery order, which
+//!   the egd chase's merge order (and so the surviving null names)
+//!   depends on.
 //! * **Relation.** Accepted pairs are collected in their fixed order and
 //!   become a [`BinRel`] (forward and reverse rows in that order) without
 //!   a hash insert per visit: the bitsets prove them distinct, and the
 //!   relation's pair index is filled once per pair. Relations are
 //!   memoized per target in the index. Without a path bound and with
-//!   reversed steps, a target whose language is the reversal of a walked
-//!   target's is not walked: the reversal of a path is a path, so its
-//!   relation is the walked one's transpose.
+//!   reversed steps, a target whose language is the reversal of a built
+//!   target's is not built again: the reversal of a path is a path, so
+//!   its relation is the built one's transpose.
 //! * **Join.** [`certain_matches`] joins atom by atom over flat node-id
 //!   rows built in reused buffers. An atom that binds a kept variable from
 //!   a bound one that no later atom reads groups the rows sharing their
@@ -46,7 +55,9 @@
 //!   accumulator, which emits each new binding once, in relation order;
 //!   atoms whose fresh variable nobody reads are existence checks.
 //! * **Memory.** O(pattern edges + relation pairs + `n` × state sets),
-//!   plus the join's rows: no `n` × `n` matrix per step kind.
+//!   plus the join's rows: no `n` × `n` matrix per step kind. A closure's
+//!   `N²` bits for `N` product nodes live only while its relation is
+//!   built.
 //!
 //! Nesting tests are handled before matching, by the caller: the
 //! certain-answer lower bound (`gdx_exchange::representative`) lifts
@@ -61,6 +72,7 @@ use gdx_automata::Dfa;
 use gdx_common::{FxHashMap, FxHashSet, GdxError, Result, Symbol, Term, UnionFind};
 use gdx_graph::Node;
 use gdx_mapping::Egd;
+use gdx_nre::dense::{closure, DenseRel, DENSE_MAX_NODES};
 use gdx_nre::nfa::{Nfa, State};
 use gdx_nre::{BinRel, Nre};
 use gdx_obs::Obs;
@@ -289,12 +301,17 @@ pub struct EntailmentIndex {
     allow_reversed: bool,
     /// Entailment relations per target NRE.
     by_target: FxHashMap<Nre, BinRel>,
-    /// Without a path bound: each walked test-free target with the
-    /// minimized DFA its walk ran on, for spotting reversed targets.
-    walked: Vec<(Nre, Dfa)>,
+    /// Without a path bound: each built test-free target with the
+    /// minimized DFA its relation was built on, for spotting reversed
+    /// targets.
+    built: Vec<(Nre, Dfa)>,
     /// Bitsets and frontiers of the walk, reused across start nodes and
     /// targets.
     walk: WalkScratch,
+    /// Without a path bound, products of up to this many nodes are
+    /// closed on the dense kernel instead of walked:
+    /// [`DENSE_MAX_NODES`].
+    closure_max_nodes: usize,
 }
 
 /// Reusable scratch of [`EntailmentIndex`]'s walk: bitsets of one bit
@@ -359,8 +376,9 @@ impl EntailmentIndex {
             adjacency,
             allow_reversed,
             by_target: FxHashMap::default(),
-            walked: Vec::new(),
+            built: Vec::new(),
             walk: WalkScratch::default(),
+            closure_max_nodes: DENSE_MAX_NODES,
         }
     }
 
@@ -379,18 +397,15 @@ impl EntailmentIndex {
     /// merge depends on it.
     ///
     /// Without a path bound (the certain-answer lower bound, which sorts
-    /// its rows), the pair order is unspecified: a target whose language
-    /// is the reversal of an already walked target's (`f-.(f-)*` after
-    /// `f.f*`) gets the transpose of that relation, in its order.
+    /// its rows), the pair order is unspecified: longer paths come from
+    /// one closure of the product (see the [module docs](self)) when it fits
+    /// the dense kernel, and a target whose language is the reversal of
+    /// an already built target's (`f-.(f-)*` after `f.f*`) gets the
+    /// transpose of that relation, in its order.
     pub fn relation(&mut self, target: &Nre) -> Result<&BinRel> {
         if !self.by_target.contains_key(target) {
             let rel = match self.reversal_of(target)? {
-                Some(walked) => BinRel::from_distinct_pairs(
-                    self.by_target[&walked]
-                        .iter()
-                        .map(|(u, v)| (v, u))
-                        .collect(),
-                ),
+                Some(built) => self.by_target[&built].transpose(),
                 None => self.build_relation(target)?,
             };
             self.by_target.insert(target.clone(), rel);
@@ -398,24 +413,24 @@ impl EntailmentIndex {
         Ok(&self.by_target[target])
     }
 
-    /// The walked target whose language is the reversal of `target`'s,
+    /// The built target whose language is the reversal of `target`'s,
     /// if any: compared by language on minimized DFAs, so any spelling
     /// of the reversal matches. Only without a path bound and with
     /// reversed steps, where the relations are each other's transposes.
     fn reversal_of(&self, target: &Nre) -> Result<Option<Nre>> {
         if self.path_bound.is_some()
             || !self.allow_reversed
-            || self.walked.is_empty()
+            || self.built.is_empty()
             || !target.is_test_free()
         {
             return Ok(None);
         }
         let reversed = target_dfa(&target.reversed(), &self.steps)?;
         Ok(self
-            .walked
+            .built
             .iter()
             .find(|(_, dfa)| same_language(dfa, &reversed))
-            .map(|(walked, _)| walked.clone()))
+            .map(|(built, _)| built.clone()))
     }
 
     fn build_relation(&mut self, target: &Nre) -> Result<BinRel> {
@@ -440,7 +455,7 @@ impl EntailmentIndex {
             .transpose()?;
         let mut product = dfa.as_ref().map(|dfa| StepProduct::new(dfa, &self.steps));
         if let (None, Some(dfa)) = (self.path_bound, dfa) {
-            self.walked.push((target.clone(), dfa));
+            self.built.push((target.clone(), dfa));
         }
         // Length 1, in step-kind order.
         let mut entailed = vec![false; self.steps.len()];
@@ -467,11 +482,17 @@ impl EntailmentIndex {
         if self.path_bound == Some(1) || product.is_dead(START) {
             return Ok(BinRel::from_distinct_pairs(pairs));
         }
-        // Longer paths: one level-by-level walk per start node over
-        // (node, state set), with a visited bitset per state set. The
-        // frontier is a list, so nodes are related in breadth-first
-        // discovery order. Sets holding a dead state are pruned; the path
-        // bound caps the number of levels.
+        // Longer paths. Without a path bound, one closure of the product
+        // graph when it fits the dense kernel; otherwise one
+        // level-by-level walk per start node over (node, state set), with
+        // a visited bitset per state set. The walk's frontier is a list,
+        // so nodes are related in breadth-first discovery order. Sets
+        // holding a dead state are pruned; the path bound caps the number
+        // of levels.
+        let closed = match self.path_bound {
+            None => ProductClosure::new(&mut product, &self.adjacency, self.closure_max_nodes),
+            Some(_) => None,
+        };
         let words = nodes.div_ceil(64);
         let WalkScratch {
             visited,
@@ -489,6 +510,10 @@ impl EntailmentIndex {
                 if entailed[k as usize] {
                     insert_bit(related, v);
                 }
+            }
+            if let Some(closed) = &closed {
+                closed.relate(u, related, &mut pairs);
+                continue;
             }
             visited.fill(0);
             visited.resize(product.set_count() * words, 0);
@@ -531,6 +556,116 @@ impl EntailmentIndex {
             }
         }
         Ok(BinRel::from_distinct_pairs(pairs))
+    }
+}
+
+/// The live part of the product of a pattern with one target's
+/// [`StepProduct`], closed once (Mendelzon & Wood, "Finding regular
+/// simple paths in graph databases", SIAM J. Comput. 1995: a path query
+/// is reachability in the product of the graph and the query's
+/// automaton). Product nodes are (pattern node, live state set): one
+/// breadth-first search from every `(u, {q₀})` discovers them through
+/// the transfer tables, pruning sets that hold a dead state and do not
+/// accept, exactly as the walk does. Product node `u` is `(u, {q₀})`.
+struct ProductClosure {
+    /// The pattern node of each product node.
+    node: Vec<PNodeId>,
+    /// The product nodes whose state set accepts, as a bitset.
+    accepting: Vec<u64>,
+    /// The reflexive-transitive closure of the product's edges.
+    reach: DenseRel,
+}
+
+impl ProductClosure {
+    /// Discovers and closes the product; `None` when it has more than
+    /// `max_nodes` nodes, where the caller walks instead.
+    fn new(
+        product: &mut StepProduct,
+        adjacency: &[Vec<(u32, PNodeId)>],
+        max_nodes: usize,
+    ) -> Option<ProductClosure> {
+        let n = adjacency.len();
+        if n > max_nodes {
+            return None;
+        }
+        // `ids[set * n + x]`: the product node (x, set), if discovered.
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        let mut node: Vec<PNodeId> = (0..n as PNodeId).collect();
+        let mut set_of: Vec<u32> = vec![START; n];
+        // The product's edges, grouped by source in discovery order.
+        let mut offsets: Vec<u32> = vec![0];
+        let mut targets: Vec<u32> = Vec::new();
+        // Does the set accept? Under the `fault-entail-any` sharpness
+        // fault: does *some* of its states accept, so that a path is
+        // taken to entail the target when some of its words do.
+        let accepts = |product: &StepProduct, set: u32| {
+            product.accepting(set)
+                || (cfg!(feature = "fault-entail-any") && product.accepts_some(set))
+        };
+        let mut p = 0;
+        while p < node.len() {
+            let (x, set) = (node[p], set_of[p]);
+            // A dead set that accepts ends its paths (only under the
+            // `fault-entail-any` fault can a set be both).
+            if !product.is_dead(set) {
+                for run in adjacency[x as usize].chunk_by(|a, b| a.0 == b.0) {
+                    let succ = product.successor(set, run[0].0 as usize);
+                    if product.is_dead(succ) && !accepts(product, succ) {
+                        continue;
+                    }
+                    let at = succ as usize * n;
+                    if ids.len() < at + n {
+                        ids.resize(at + n, u32::MAX);
+                    }
+                    for &(_, y) in run {
+                        let id = &mut ids[at + y as usize];
+                        if *id == u32::MAX {
+                            if node.len() >= max_nodes {
+                                return None;
+                            }
+                            *id = node.len() as u32;
+                            node.push(y);
+                            set_of.push(succ);
+                        }
+                        targets.push(*id);
+                    }
+                }
+            }
+            offsets.push(targets.len() as u32);
+            p += 1;
+        }
+        let reach = closure(node.len(), |p| {
+            targets[offsets[p] as usize..offsets[p + 1] as usize]
+                .iter()
+                .map(|&t| t as usize)
+        });
+        let mut accepting = vec![0u64; node.len().div_ceil(64)];
+        for (p, &set) in set_of.iter().enumerate() {
+            if accepts(product, set) {
+                insert_bit(&mut accepting, p as u32);
+            }
+        }
+        Some(ProductClosure {
+            node,
+            accepting,
+            reach,
+        })
+    }
+
+    /// Relates `u` to the pattern node of every accepting product node
+    /// that `(u, {q₀})` reaches, pushing `(u, v)` for each `v` not yet in
+    /// `related`.
+    fn relate(&self, u: PNodeId, related: &mut [u64], pairs: &mut Vec<(PNodeId, PNodeId)>) {
+        for (i, (&row, &accepting)) in self.reach.row(u).iter().zip(&self.accepting).enumerate() {
+            let mut bits = row & accepting;
+            while bits != 0 {
+                let v = self.node[i * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                if insert_bit(related, v) {
+                    pairs.push((u, v));
+                }
+            }
+        }
     }
 }
 
@@ -622,14 +757,9 @@ impl StepProduct {
         }
         let id = self.sets.len() as u32;
         // Does every word leading into the set belong to the target?
-        // (Under the `fault-entail-any` sharpness fault: does *some*
-        // word?) Does it hold a state from which nothing is accepted?
-        // Such a set never becomes accepting, however the path continues.
-        let accepting = if cfg!(feature = "fault-entail-any") {
-            set.iter().any(|&q| self.accept[q as usize])
-        } else {
-            set.iter().all(|&q| self.accept[q as usize])
-        };
+        // Does it hold a state from which nothing is accepted? Such a set
+        // never becomes accepting, however the path continues.
+        let accepting = set.iter().all(|&q| self.accept[q as usize]);
         let dead = set.iter().any(|&q| self.dead[q as usize]);
         self.verdicts.push((accepting, dead));
         self.sets.push(set.clone());
@@ -662,6 +792,13 @@ impl StepProduct {
     /// Does every word leading into `set` belong to the target?
     fn accepting(&self, set: u32) -> bool {
         self.verdicts[set as usize].0
+    }
+
+    /// Does some state of `set` accept?
+    fn accepts_some(&self, set: u32) -> bool {
+        self.sets[set as usize]
+            .iter()
+            .any(|&q| self.accept[q as usize])
     }
 
     /// Does `set` hold a state from which nothing is accepted?
@@ -1446,5 +1583,67 @@ mod tests {
         assert_eq!(names, vec![vec!["a".to_owned(), "b".to_owned()]]);
         let nulls = certain_matches(&p, &body, &[sym("z")], true, &mut idx).unwrap();
         assert!(nulls.is_empty(), "z binds to nulls only");
+    }
+
+    /// Edge NREs of the closure-vs-walk proptest's random patterns: steps
+    /// that reach several DFA states at once, inverses and a test (which
+    /// only the single-edge rule reads).
+    const STEP_NRES: [&str; 7] = ["f", "h", "f.f*", "f*", "h+f", "f-.h", "[h]"];
+
+    /// Targets of that proptest.
+    const CLOSURE_TARGETS: [&str; 8] = [
+        "f", "f.f*", "f.f*.h", "f-.(f-)*", "h+f", "(f+h)*.h", "f*", "f.h-",
+    ];
+
+    fn arb_step_pattern() -> impl proptest::strategy::Strategy<Value = GraphPattern> {
+        use proptest::prelude::*;
+        proptest::collection::vec((0u32..7, 0usize..STEP_NRES.len(), 0u32..7), 0..12).prop_map(
+            |edges| {
+                let mut p = GraphPattern::new();
+                let nodes: Vec<PNodeId> = (0..7)
+                    .map(|i| {
+                        if i < 3 {
+                            p.add_node(Node::cst(&format!("k{i}")))
+                        } else {
+                            p.add_node(Node::null(&format!("n{i}")))
+                        }
+                    })
+                    .collect();
+                for (s, r, d) in edges {
+                    let nre = gdx_nre::parse::parse_nre(STEP_NRES[r]).unwrap();
+                    p.add_edge(nodes[s as usize], nre, nodes[d as usize]);
+                }
+                p
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        /// The unbounded relation closed on the dense kernel equals the
+        /// per-start walk's, as sets, with and without reversed steps.
+        /// A bound of no product nodes forces the walk.
+        #[test]
+        fn product_closure_agrees_with_the_walk(p in arb_step_pattern()) {
+            for allow_reversed in [true, false] {
+                let mut closed = EntailmentIndex::new(&p, None, allow_reversed);
+                let mut walked = EntailmentIndex::new(&p, None, allow_reversed);
+                walked.closure_max_nodes = 0;
+                for target in CLOSURE_TARGETS {
+                    let target = gdx_nre::parse::parse_nre(target).unwrap();
+                    let c: FxHashSet<(PNodeId, PNodeId)> =
+                        closed.relation(&target).unwrap().iter().collect();
+                    let w: FxHashSet<(PNodeId, PNodeId)> =
+                        walked.relation(&target).unwrap().iter().collect();
+                    proptest::prop_assert_eq!(
+                        c.len(),
+                        closed.relation(&target).unwrap().len(),
+                        "duplicate pairs for {}", target
+                    );
+                    proptest::prop_assert_eq!(c, w, "target {} reversed {}", target, allow_reversed);
+                }
+            }
+        }
     }
 }

@@ -48,7 +48,7 @@ use crate::encode::{self, Encoding};
 use crate::exists::{exact_fragment, EgdRepairer, Existence};
 use crate::options::Options;
 use crate::representative::{LowerBoundIndex, RepresentativeOutcome, UniversalRepresentative};
-use crate::solution::SolutionChecker;
+use crate::solution::{SolutionChecker, StTriggers};
 use gdx_chase::{
     chase_egds_on_pattern_obs, chase_st_with_nulls, ChaseStats, EgdChaseOutcome, SameAsEngine,
     StChaseVariant, TgdChaseEngine,
@@ -99,6 +99,10 @@ pub struct ExchangeSession {
     probe_cache: FxHashMap<(Nre, Symbol, Symbol), PreparedQuery>,
     // Compiled helpers and engines, lazily built, persistent.
     checker: Option<SolutionChecker>,
+    /// The s-t tgd triggers of the instance, built on the first check.
+    /// They depend on the setting and the instance only, so no option
+    /// change invalidates them.
+    st_triggers: Option<StTriggers>,
     repairer: Option<EgdRepairer>,
     engines_ready: bool,
     sameas_engine: Option<SameAsEngine>,
@@ -157,6 +161,7 @@ impl ExchangeSession {
             pending: None,
             probe_cache: FxHashMap::default(),
             checker: None,
+            st_triggers: None,
             repairer: None,
             engines_ready: false,
             sameas_engine: None,
@@ -285,15 +290,13 @@ impl ExchangeSession {
         reason = "the `expect`s below read memos the preceding ensure_* call just filled; a miss is a session-state bug worth a loud panic"
     )]
     pub fn is_solution(&mut self, graph: &Graph) -> Result<bool> {
-        if self.checker.is_none() {
-            self.checker = Some(SolutionChecker::new(&self.setting));
-        }
+        self.ensure_checker();
         let verify_start = self.obs.now_micros();
         let verdict = self
             .checker
             .as_ref()
             .expect("just filled")
-            .is_solution(&self.instance, graph);
+            .is_solution_with(self.st_triggers.as_ref().expect("just filled"), graph);
         self.obs.observe(
             "session.phase.verify_us",
             self.obs.now_micros().saturating_sub(verify_start),
@@ -984,10 +987,25 @@ impl ExchangeSession {
                     .with_obs(self.obs.clone())
             });
             self.repairer = Some(EgdRepairer::new(&self.egds));
-            if self.checker.is_none() {
-                self.checker = Some(SolutionChecker::new(&self.setting));
-            }
+            self.ensure_checker();
             self.engines_ready = true;
+        }
+    }
+
+    /// Compiles the solution checker under the session's planner mode,
+    /// and builds the instance's trigger table once.
+    #[expect(
+        clippy::expect_used,
+        reason = "the checker is filled just above the table that reads it"
+    )]
+    fn ensure_checker(&mut self) {
+        if self.checker.is_none() {
+            self.checker =
+                Some(SolutionChecker::new(&self.setting).with_planner(self.options.planner));
+        }
+        if self.st_triggers.is_none() {
+            let checker = self.checker.as_ref().expect("just filled");
+            self.st_triggers = Some(checker.st_triggers(&self.instance));
         }
     }
 }
@@ -1219,7 +1237,10 @@ impl SolutionStream<'_> {
                     .checker
                     .as_ref()
                     .expect("engines ready")
-                    .is_solution(&self.session.instance, &g)?;
+                    .is_solution_with(
+                        self.session.st_triggers.as_ref().expect("engines ready"),
+                        &g,
+                    )?;
                 self.session.obs.observe(
                     "session.phase.verify_us",
                     self.session.obs.now_micros().saturating_sub(verify_start),

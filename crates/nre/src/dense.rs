@@ -14,12 +14,19 @@
 //! Warshall's `O(n³/64)`.
 //!
 //! A [`DenseRel`] is a *set*: it has no insertion order, so it serves
-//! only consumers whose output cannot depend on pair order (constant-row
-//! sets, intersections). Planned evaluation, whose row order feeds chase
-//! triggers and fresh-null names, keeps [`crate::BinRel`]. Relations are
-//! transient: [`DenseRel::eval`] drops every intermediate as the
-//! expression tree folds. Graphs above [`DENSE_MAX_NODES`] nodes stay on
-//! `BinRel`, which stores pairs, not `n²` bits.
+//! only consumers whose output cannot depend on pair order. There are
+//! four: the constant rows of a solution graph and the family
+//! intersection (`gdx-query`), solution checking, whose head atoms are
+//! evaluated once per graph and ANDed per trigger (`gdx-exchange`), and
+//! the unbounded pattern entailment of the certain-answer lower bound,
+//! which closes a product graph with [`closure`] (`gdx-chase`). Planned
+//! evaluation, whose row order feeds chase triggers and fresh-null names,
+//! keeps [`crate::BinRel`]. Relations are transient: [`DenseRel::eval`]
+//! drops every intermediate as the expression tree folds, and no consumer
+//! keeps one past the call that built it. Graphs above
+//! [`DENSE_MAX_NODES`] nodes (product graphs above as many product nodes)
+//! stay on `BinRel` or on the consumer's own fallback, which store pairs,
+//! not `n²` bits.
 
 use crate::ast::Nre;
 use gdx_graph::{Graph, NodeId};
@@ -174,142 +181,156 @@ impl DenseRel {
         out
     }
 
-    /// The reflexive-transitive closure `self*`.
-    ///
-    /// Tarjan's algorithm numbers the strongly connected components in
-    /// the order they complete, which puts every component after all the
-    /// components it reaches. So one pass in that order closes each
-    /// component's row: its own members, ORed with the closed rows of
-    /// the components its members step into (each once). Every member
-    /// then takes its component's row.
+    /// The reflexive-transitive closure `self*`: [`closure`] over the
+    /// rows.
     fn star(&self) -> DenseRel {
-        let (comp, count) = self.components();
-        let w = self.words;
-        // Members of each component, grouped by one counting pass.
-        let mut start = vec![0usize; count + 1];
-        for &c in &comp {
-            start[c as usize + 1] += 1;
-        }
-        for c in 0..count {
-            start[c + 1] += start[c];
-        }
-        let mut cursor = start.clone();
-        let mut members = vec![0usize; self.n];
-        for (u, &c) in comp.iter().enumerate() {
-            members[cursor[c as usize]] = u;
-            cursor[c as usize] += 1;
-        }
-        let mut reach = vec![0u64; count * w];
-        // `merged[d] == c`: component `c` already ORed `d`'s row in.
-        let mut merged = vec![usize::MAX; count];
-        for c in 0..count {
-            let (done, rest) = reach.split_at_mut(c * w);
-            let row = &mut rest[..w];
-            for &u in &members[start[c]..start[c + 1]] {
-                row[u / 64] |= 1u64 << (u % 64);
-                for v in ones(&self.bits[u * w..(u + 1) * w]) {
-                    let d = comp[v] as usize;
-                    if d != c && merged[d] != c {
-                        merged[d] = c;
-                        for (o, x) in row.iter_mut().zip(&done[d * w..(d + 1) * w]) {
-                            *o |= x;
-                        }
+        closure(self.n, |u| ones(self.row(u as NodeId)))
+    }
+
+    /// The transpose: `(v, u)` for every pair `(u, v)`, so row `v` of the
+    /// result holds the predecessors of `v`. `⟦r⟧ᵀ = ⟦r⁻⟧` for the
+    /// reversed expression `r⁻`.
+    pub fn transpose(&self) -> DenseRel {
+        DenseRel::from_pairs(self.n, self.pairs().map(|(u, v)| (v, u)))
+    }
+}
+
+/// The reflexive-transitive closure of the relation over `0..n` whose
+/// pairs from `u` are `(u, v)` for every `v` in `succ(u)`: any adjacency,
+/// such as a [`DenseRel`]'s rows or the edges of a product graph.
+///
+/// Tarjan's algorithm numbers the strongly connected components in the
+/// order they complete, which puts every component after all the
+/// components it reaches. So one pass in that order closes each
+/// component's row: its own members, ORed with the closed rows of the
+/// components its members step into (each once). Every member then takes
+/// its component's row. The cost is `O(m·n/64)` for `m` adjacency pairs.
+///
+/// ```
+/// use gdx_nre::dense::closure;
+/// // 0 → 1 → 2 → 1 over 130 nodes: rows span three words.
+/// let succ = [vec![1], vec![2], vec![1]];
+/// let star = closure(130, |u| succ.get(u).into_iter().flatten().copied());
+/// assert!(star.contains(0, 2) && star.contains(2, 1) && star.contains(129, 129));
+/// assert!(!star.contains(1, 0));
+/// ```
+pub fn closure<I, F>(n: usize, succ: F) -> DenseRel
+where
+    F: Fn(usize) -> I,
+    I: Iterator<Item = usize>,
+{
+    let (comp, count) = components(n, &succ);
+    let w = n.div_ceil(64);
+    // Members of each component, grouped by one counting pass.
+    let mut start = vec![0usize; count + 1];
+    for &c in &comp {
+        start[c as usize + 1] += 1;
+    }
+    for c in 0..count {
+        start[c + 1] += start[c];
+    }
+    let mut cursor = start.clone();
+    let mut members = vec![0usize; n];
+    for (u, &c) in comp.iter().enumerate() {
+        members[cursor[c as usize]] = u;
+        cursor[c as usize] += 1;
+    }
+    let mut reach = vec![0u64; count * w];
+    // `merged[d] == c`: component `c` already ORed `d`'s row in.
+    let mut merged = vec![usize::MAX; count];
+    for c in 0..count {
+        let (done, rest) = reach.split_at_mut(c * w);
+        let row = &mut rest[..w];
+        for &u in &members[start[c]..start[c + 1]] {
+            row[u / 64] |= 1u64 << (u % 64);
+            for v in succ(u) {
+                let d = comp[v] as usize;
+                if d != c && merged[d] != c {
+                    merged[d] = c;
+                    for (o, x) in row.iter_mut().zip(&done[d * w..(d + 1) * w]) {
+                        *o |= x;
                     }
                 }
             }
         }
-        let mut out = DenseRel::empty(self.n);
-        for (u, &c) in comp.iter().enumerate() {
-            let c = c as usize;
-            out.bits[u * w..(u + 1) * w].copy_from_slice(&reach[c * w..(c + 1) * w]);
-            // Under the `fault-dense-star` sharpness fault, a node that
-            // reaches itself by no step loses its reflexive pair: the
-            // star degrades to `self⁺`.
-            if cfg!(feature = "fault-dense-star")
-                && start[c + 1] - start[c] == 1
-                && !self.contains(u as NodeId, u as NodeId)
-            {
-                out.bits[u * w + u / 64] &= !(1u64 << (u % 64));
-            }
-        }
-        out
     }
+    let mut out = DenseRel::empty(n);
+    for (u, &c) in comp.iter().enumerate() {
+        let c = c as usize;
+        out.bits[u * w..(u + 1) * w].copy_from_slice(&reach[c * w..(c + 1) * w]);
+        // Under the `fault-dense-star` sharpness fault, a node that
+        // reaches itself by no step loses its reflexive pair: the
+        // star degrades to `self⁺`.
+        if cfg!(feature = "fault-dense-star")
+            && start[c + 1] - start[c] == 1
+            && !succ(u).any(|v| v == u)
+        {
+            out.bits[u * w + u / 64] &= !(1u64 << (u % 64));
+        }
+    }
+    out
+}
 
-    /// Strongly connected components by an iterative Tarjan walk over
-    /// the rows: per node its component, numbered in completion order,
-    /// and the number of components.
-    fn components(&self) -> (Vec<u32>, usize) {
-        const UNSEEN: u32 = u32::MAX;
-        let n = self.n;
-        let mut index = vec![UNSEEN; n];
-        let mut low = vec![0u32; n];
-        let mut comp = vec![UNSEEN; n];
-        let mut stack: Vec<usize> = Vec::new();
-        // Call frames: (node, next column to scan in its row).
-        let mut frames: Vec<(usize, usize)> = Vec::new();
-        let mut next_index = 0u32;
-        let mut count = 0u32;
-        for root in 0..n {
-            if index[root] != UNSEEN {
-                continue;
-            }
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            frames.push((root, 0));
-            while let Some(&mut (u, ref mut from)) = frames.last_mut() {
-                match self.next_one(u, *from) {
-                    Some(v) => {
-                        *from = v + 1;
-                        if index[v] == UNSEEN {
-                            index[v] = next_index;
-                            low[v] = next_index;
-                            next_index += 1;
-                            stack.push(v);
-                            frames.push((v, 0));
-                        } else if comp[v] == UNSEEN {
-                            // Visited, not yet in a component: on the stack.
-                            low[u] = low[u].min(index[v]);
-                        }
+/// Strongly connected components of the adjacency `succ` over `0..n` by
+/// an iterative Tarjan walk: per node its component, numbered in
+/// completion order, and the number of components.
+fn components<I, F>(n: usize, succ: &F) -> (Vec<u32>, usize)
+where
+    F: Fn(usize) -> I,
+    I: Iterator<Item = usize>,
+{
+    const UNSEEN: u32 = u32::MAX;
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut comp = vec![UNSEEN; n];
+    let mut stack: Vec<usize> = Vec::new();
+    // Call frames: (node, its successors still to scan).
+    let mut frames: Vec<(usize, I)> = Vec::new();
+    let mut next_index = 0u32;
+    let mut count = 0u32;
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        index[root] = next_index;
+        low[root] = next_index;
+        next_index += 1;
+        stack.push(root);
+        frames.push((root, succ(root)));
+        while let Some((u, rest)) = frames.last_mut() {
+            let u = *u;
+            match rest.next() {
+                Some(v) => {
+                    if index[v] == UNSEEN {
+                        index[v] = next_index;
+                        low[v] = next_index;
+                        next_index += 1;
+                        stack.push(v);
+                        frames.push((v, succ(v)));
+                    } else if comp[v] == UNSEEN {
+                        // Visited, not yet in a component: on the stack.
+                        low[u] = low[u].min(index[v]);
                     }
-                    None => {
-                        frames.pop();
-                        if let Some(&(parent, _)) = frames.last() {
-                            low[parent] = low[parent].min(low[u]);
-                        }
-                        if low[u] == index[u] {
-                            while let Some(v) = stack.pop() {
-                                comp[v] = count;
-                                if v == u {
-                                    break;
-                                }
+                }
+                None => {
+                    frames.pop();
+                    if let Some(&(parent, _)) = frames.last() {
+                        low[parent] = low[parent].min(low[u]);
+                    }
+                    if low[u] == index[u] {
+                        while let Some(v) = stack.pop() {
+                            comp[v] = count;
+                            if v == u {
+                                break;
                             }
-                            count += 1;
                         }
+                        count += 1;
                     }
                 }
             }
         }
-        (comp, count as usize)
     }
-
-    /// The least column `≥ from` set in row `u`.
-    fn next_one(&self, u: usize, from: usize) -> Option<usize> {
-        if from >= self.n {
-            return None;
-        }
-        let row = &self.bits[u * self.words..(u + 1) * self.words];
-        let mut word = from / 64;
-        let mut bits = row[word] & (u64::MAX << (from % 64));
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            bits = *row.get(word)?;
-        }
-    }
+    (comp, count as usize)
 }
 
 /// The set bits of a bit row, ascending.
@@ -382,6 +403,46 @@ mod tests {
         let star = DenseRel::eval(&g, &parse_nre("f*").unwrap());
         assert!(star.contains(ids[120], ids[70]) && star.contains(ids[100], ids[80]));
         assert!(!star.contains(ids[69], ids[0]));
+    }
+
+    #[test]
+    fn closure_of_a_non_graph_adjacency_spans_words() {
+        // 200 nodes, no graph: `u → 3u mod 200` and `u → u + 70` (below
+        // 200). Rows span four words, and components mix all of them.
+        let n = 200;
+        let succ = |u: usize| [(3 * u) % n, u + 70].into_iter().filter(move |&v| v < n);
+        let star = closure(n, succ);
+        // The reference: a breadth-first search per node.
+        for u in 0..n {
+            let mut seen = vec![false; n];
+            let mut stack = vec![u];
+            seen[u] = true;
+            while let Some(x) = stack.pop() {
+                for y in succ(x) {
+                    if !seen[y] {
+                        seen[y] = true;
+                        stack.push(y);
+                    }
+                }
+            }
+            let row: Vec<usize> = ones(star.row(u as NodeId)).collect();
+            let want: Vec<usize> = (0..n).filter(|&v| seen[v]).collect();
+            assert_eq!(row, want, "row {u}");
+        }
+        assert!(closure(0, |_| std::iter::empty()).is_empty());
+    }
+
+    #[test]
+    fn transpose_is_the_reversed_expression() {
+        let g = Graph::parse("(a, f, b); (b, f, c); (c, h, a); (a, f, a);").unwrap();
+        for expr in ["f.f*", "f.h", "(f+h)*"] {
+            let r = parse_nre(expr).unwrap();
+            assert_eq!(
+                DenseRel::eval(&g, &r).transpose(),
+                DenseRel::eval(&g, &r.reversed()),
+                "{expr}"
+            );
+        }
     }
 
     #[test]

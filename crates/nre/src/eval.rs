@@ -302,6 +302,22 @@ impl BinRel {
         r
     }
 
+    /// The transpose `{(v, u) | (u, v) ∈ self}`, with its pairs in the
+    /// order of `self`'s: the adjacency arenas swap roles, so only the
+    /// pair index is rebuilt.
+    pub fn transpose(&self) -> BinRel {
+        let log: Vec<(NodeId, NodeId)> = self.log.iter().map(|&(u, v)| (v, u)).collect();
+        let mut r = BinRel {
+            pairs: FxHashSet::with_capacity_and_hasher(log.len(), Default::default()),
+            hashed: 0,
+            fwd: self.rev.clone(),
+            rev: self.fwd.clone(),
+            log,
+        };
+        r.seal_pairs();
+        r
+    }
+
     /// Relation composition `self ; other`.
     pub fn compose(&self, other: &BinRel) -> BinRel {
         let mut out = compose_unsealed(self, other);
@@ -777,5 +793,36 @@ mod tests {
         assert!(grown.insert(3, 4) && !grown.insert(0, 2));
         assert_eq!(grown.image(3), &[1, 0, 4]);
         assert_eq!(grown.preimage(4), &[3]);
+    }
+
+    #[test]
+    fn transpose_equals_the_reversed_pairs_built_in_order() {
+        // A relation grown by inserts (slack in its arenas), transposed.
+        let mut rel = BinRel::new();
+        for (u, v) in [
+            (3, 1),
+            (0, 2),
+            (3, 0),
+            (5, 3),
+            (0, 1),
+            (2, 2),
+            (1, 3),
+            (3, 4),
+        ] {
+            rel.insert(u, v);
+        }
+        let t = rel.transpose();
+        let built = BinRel::from_distinct_pairs(rel.iter().map(|(u, v)| (v, u)).collect());
+        assert!(t.iter().eq(built.iter()));
+        for n in 0..7 {
+            assert_eq!(t.image(n), built.image(n), "image of {n}");
+            assert_eq!(t.preimage(n), built.preimage(n), "preimage of {n}");
+            for m in 0..7 {
+                assert_eq!(t.contains(n, m), rel.contains(m, n), "({n}, {m})");
+            }
+        }
+        let mut grown = t;
+        assert!(grown.insert(4, 0) && !grown.insert(4, 3));
+        assert_eq!(grown.image(4), &[3, 0]);
     }
 }

@@ -175,6 +175,9 @@ struct SolsOut {
 enum Outcome {
     Exist(Result<Existence>),
     Bool(Result<bool>),
+    /// Per edge of the first solution, in edge order: is the solution
+    /// without that edge still one? Empty without a solution.
+    Verdicts(Result<Vec<bool>>),
     Cert(Result<CertainAnswer>),
     Rows(Result<(Vec<String>, bool)>),
     Sols(Result<SolsOut>),
@@ -202,6 +205,11 @@ impl Outcome {
             Outcome::Exist(Err(e)) => format!("error: {e}"),
             Outcome::Bool(Ok(b)) => b.to_string(),
             Outcome::Bool(Err(e)) => format!("error: {e}"),
+            Outcome::Verdicts(Ok(v)) => {
+                let bits: String = v.iter().map(|&b| if b { '1' } else { '0' }).collect();
+                format!("edge-drops [{bits}]")
+            }
+            Outcome::Verdicts(Err(e)) => format!("error: {e}"),
             Outcome::Cert(Ok(CertainAnswer::Certain)) => "certain".to_owned(),
             Outcome::Cert(Ok(CertainAnswer::NotCertain(g))) => format!("not-certain: {g}"),
             Outcome::Cert(Ok(CertainAnswer::Unknown(m))) => format!("unknown: {m}"),
@@ -253,6 +261,18 @@ impl Outcome {
                 (Err(x), Err(y)) if err_kind(x) == err_kind(y) => None,
                 _ => differ(),
             },
+            // Isomorphic solutions may list their edges in different
+            // orders: compare how many removals keep a solution.
+            (Outcome::Verdicts(a), Outcome::Verdicts(b)) => match (a, b) {
+                (Ok(x), Ok(y))
+                    if x.len() == y.len()
+                        && x.iter().filter(|&&k| k).count() == y.iter().filter(|&&k| k).count() =>
+                {
+                    None
+                }
+                (Err(x), Err(y)) if err_kind(x) == err_kind(y) => None,
+                _ => differ(),
+            },
             (Outcome::Cert(a), Outcome::Cert(b)) => match (a, b) {
                 (Ok(CertainAnswer::Certain), Ok(CertainAnswer::Certain))
                 | (Ok(CertainAnswer::Unknown(_)), Ok(CertainAnswer::Unknown(_))) => None,
@@ -296,6 +316,7 @@ impl Outcome {
         match self {
             Outcome::Exist(Err(e))
             | Outcome::Bool(Err(e))
+            | Outcome::Verdicts(Err(e))
             | Outcome::Cert(Err(e))
             | Outcome::Rows(Err(e))
             | Outcome::Sols(Err(e)) => Some(e),
@@ -397,6 +418,30 @@ impl Side {
         }
     }
 
+    /// [`Op::EdgeDrops`]: the first solution, if any, checked again
+    /// without each of its edges in turn. The nodes stay, so a removal
+    /// refutes by a missing head witness, not by a missing constant.
+    fn edge_drops(&mut self) -> Result<Vec<bool>> {
+        let Existence::Exists(g) = self.session.solution_exists()? else {
+            return Ok(Vec::new());
+        };
+        let edges: Vec<_> = g.edges().copied().collect();
+        (0..edges.len())
+            .map(|dropped| {
+                let mut h = Graph::new();
+                for id in g.node_ids() {
+                    h.add_node(g.node(id));
+                }
+                for (i, &(s, l, d)) in edges.iter().enumerate() {
+                    if i != dropped {
+                        h.add_edge(s, l, d);
+                    }
+                }
+                self.session.is_solution(&h)
+            })
+            .collect()
+    }
+
     /// Executes one op, converting engine panics into `Err(message)`.
     fn apply(&mut self, op: &Op) -> std::result::Result<Outcome, String> {
         catch_unwind(AssertUnwindSafe(|| self.apply_inner(op))).map_err(panic_message)
@@ -406,6 +451,7 @@ impl Side {
         match op {
             Op::Chase => Outcome::Exist(self.session.solution_exists()),
             Op::IsSolution => Outcome::Bool(self.session.is_solution(&self.work)),
+            Op::EdgeDrops => Outcome::Verdicts(self.edge_drops()),
             Op::Certain(q) => match PreparedQuery::parse(q) {
                 Ok(pq) => Outcome::Cert(self.session.certain(&pq)),
                 Err(e) => Outcome::Cert(Err(e)),

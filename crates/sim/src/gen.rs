@@ -94,7 +94,8 @@ fn random_op(rng: &mut StdRng, oracle: Oracle) -> Op {
     let full_drain = loose(oracle);
     match rng.gen_range(0..100u32) {
         0..=19 => Op::Chase,
-        20..=33 => Op::IsSolution,
+        20..=27 => Op::IsSolution,
+        28..=33 => Op::EdgeDrops,
         34..=48 => Op::Certain(random_boolean_query_text(rng)),
         49..=63 => Op::CertainAnswers(random_open_query_text(rng)),
         64..=75 => {

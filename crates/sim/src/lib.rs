@@ -6,8 +6,8 @@
 //! From a single `u64` seed, [`gen::generate`] builds a [`Scenario`]: a
 //! random stratified setting, a source instance, an initial work graph,
 //! and an interleaved [`ExchangeSession`](gdx_exchange::ExchangeSession)
-//! op-sequence (chase / is-solution / certain / certain-answers /
-//! streamed solutions, mixed with incremental edge insertions, forks,
+//! op-sequence (chase / is-solution / edge-drops / certain /
+//! certain-answers / streamed solutions, mixed with incremental edge insertions, forks,
 //! compactions, and Options mutations). [`exec::run_scenario`] executes
 //! it against the real session and checks every step against the chosen
 //! [`Oracle`]:

@@ -172,6 +172,10 @@ pub enum Op {
     Chase,
     /// `ExchangeSession::is_solution` on the current work graph.
     IsSolution,
+    /// `ExchangeSession::is_solution` on the session's first solution
+    /// with each one of its edges removed in turn: every removal that
+    /// takes away a head witness must be refuted.
+    EdgeDrops,
     /// `ExchangeSession::certain` with this Boolean CNRE text.
     Certain(String),
     /// `ExchangeSession::certain_answers` with this open CNRE text.
@@ -194,6 +198,7 @@ impl fmt::Display for Op {
         match self {
             Op::Chase => write!(f, "chase"),
             Op::IsSolution => write!(f, "is-solution"),
+            Op::EdgeDrops => write!(f, "edge-drops"),
             Op::Certain(q) => write!(f, "certain {q}"),
             Op::CertainAnswers(q) => write!(f, "certain-answers {q}"),
             Op::Solutions(None) => write!(f, "solutions all"),
@@ -217,6 +222,7 @@ impl Op {
         match head {
             "chase" => Ok(Op::Chase),
             "is-solution" => Ok(Op::IsSolution),
+            "edge-drops" => Ok(Op::EdgeDrops),
             "certain" => Ok(Op::Certain(rest.to_owned())),
             "certain-answers" => Ok(Op::CertainAnswers(rest.to_owned())),
             "solutions" => {
@@ -248,7 +254,12 @@ impl Op {
     pub fn is_query(&self) -> bool {
         matches!(
             self,
-            Op::Chase | Op::IsSolution | Op::Certain(_) | Op::CertainAnswers(_) | Op::Solutions(_)
+            Op::Chase
+                | Op::IsSolution
+                | Op::EdgeDrops
+                | Op::Certain(_)
+                | Op::CertainAnswers(_)
+                | Op::Solutions(_)
         )
     }
 }
@@ -456,6 +467,7 @@ mod tests {
                     ..SimOptions::generous()
                 }),
                 Op::IsSolution,
+                Op::EdgeDrops,
             ],
         }
     }

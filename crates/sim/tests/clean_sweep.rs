@@ -2,14 +2,15 @@
 //! multi-seed campaign (≥500 seeds across all oracles), and shrunk
 //! repros replay byte-identically from their text form.
 //!
-//! Compiled out under the four `fault-*` sharpness
+//! Compiled out under the five `fault-*` sharpness
 //! features — with a fault in, failures are the *expected* outcome (see
 //! `sharpness.rs`).
 #![cfg(not(any(
     feature = "fault-delta-window",
     feature = "fault-lift-test",
     feature = "fault-entail-any",
-    feature = "fault-dense-star"
+    feature = "fault-dense-star",
+    feature = "fault-dense-verify"
 )))]
 
 use gdx_sim::campaign::{replay_text, run_campaign, Replayed};

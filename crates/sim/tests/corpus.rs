@@ -7,14 +7,15 @@
 //! drifted from what `Repro::to_text` emits. Regenerate with
 //! `cargo run -p gdx-sim --example gen_corpus` and review the diff.
 //!
-//! Compiled out under the four `fault-*` features: with a
+//! Compiled out under the five `fault-*` features: with a
 //! deliberate fault in, the corpus entries of its oracle are *supposed*
 //! to fail.
 #![cfg(not(any(
     feature = "fault-delta-window",
     feature = "fault-lift-test",
     feature = "fault-entail-any",
-    feature = "fault-dense-star"
+    feature = "fault-dense-star",
+    feature = "fault-dense-verify"
 )))]
 
 use gdx_sim::{replay_text, Replayed, Repro};

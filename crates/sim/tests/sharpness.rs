@@ -7,20 +7,25 @@
 //!   delta window, caught by the chase-mode oracle;
 //! * `--features fault-lift-test`: the pattern-level lower bound drops
 //!   its lifted nesting-test atoms, caught by the sandwich oracle;
-//! * `--features fault-entail-any`: pattern entailment accepts a path
-//!   when *some* state its words reach accepts, instead of all, caught
-//!   by the sandwich oracle;
+//! * `--features fault-entail-any`: the product closure of unbounded
+//!   pattern entailment accepts a path when *some* state its words reach
+//!   accepts, instead of all, caught by the sandwich oracle;
 //! * `--features fault-dense-star`: the dense kernel's star drops the
 //!   reflexive pair of a node that reaches itself by no step, so the
 //!   session's order-free constant rows lose answers, caught by the
-//!   sandwich oracle.
+//!   sandwich oracle;
+//! * `--features fault-dense-verify`: the dense solution check drops one
+//!   atom from every trigger's AND, so it accepts graphs that miss a
+//!   head witness, caught by the planner oracle, whose materializing
+//!   side checks trigger by trigger.
 //!
 //! Run with: `cargo test -p gdx-sim --features <fault> --test sharpness`
 #![cfg(any(
     feature = "fault-delta-window",
     feature = "fault-lift-test",
     feature = "fault-entail-any",
-    feature = "fault-dense-star"
+    feature = "fault-dense-star",
+    feature = "fault-dense-verify"
 ))]
 
 use gdx_sim::campaign::{replay_text, run_campaign, Replayed};
@@ -48,6 +53,12 @@ fn sandwich_oracle_catches_any_state_entailment_within_200_seeds() {
 #[test]
 fn sandwich_oracle_catches_the_irreflexive_dense_star_within_200_seeds() {
     catches_and_shrinks(Oracle::Sandwich, "fault-dense-star");
+}
+
+#[cfg(feature = "fault-dense-verify")]
+#[test]
+fn planner_oracle_catches_the_dropped_dense_verify_atom_within_200_seeds() {
+    catches_and_shrinks(Oracle::Planner, "fault-dense-verify");
 }
 
 fn catches_and_shrinks(oracle: Oracle, fault: &str) {

@@ -3,10 +3,12 @@
 //! graph text (hence same firing order and fresh-null names), same
 //! `ChaseStats`, same certain answers, same `solutions()` order.
 //!
-//! The large structured cases are sized past the runtime's granularity
-//! thresholds (512-pair delta shards, 512-row speculative head batches,
-//! 256-candidate outer joins), so the parallel code paths genuinely run;
-//! the randomized sweep guards the plumbing across many small shapes.
+//! The only fan-out left is the session's family scan (one worker per
+//! solution graph); the chase, the join and NRE evaluation run on the
+//! calling thread at any worker count. The large structured cases pin
+//! that the worker count changes no chase result even when one round
+//! fires many triggers; the randomized sweep guards the plumbing across
+//! many small shapes.
 
 use gdx::chase::{chase_target_tgds, TgdChaseConfig};
 use gdx::common::Symbol;
@@ -39,8 +41,8 @@ fn chase_fingerprint(g: &Graph, tgds: &[TargetTgd], workers: usize) -> (String, 
     (out.graph.to_string(), format!("{:?}", out.stats))
 }
 
-/// A dense two-layer graph: 40×40 = 1600 `f`-edges, which clears both the
-/// delta-shard and the speculative-head-batch thresholds in one round.
+/// A dense two-layer graph: 40×40 = 1600 `f`-edges, so one chase round
+/// fires many triggers whose heads share their frontier.
 fn dense_bipartite() -> Graph {
     let mut g = Graph::new();
     let left: Vec<_> = (0..40).map(|i| g.add_const(&format!("l{i}"))).collect();
@@ -56,9 +58,9 @@ fn dense_bipartite() -> Graph {
 #[test]
 fn dense_chase_is_byte_identical_across_worker_counts() {
     let g = dense_bipartite();
-    // 1600 body rows in the first batch; one firing per distinct y, with
-    // later rows witnessed by earlier firings of the same batch — the
-    // exact interaction the speculative pre-filter must not disturb.
+    // 1600 body rows in the first round; one firing per distinct y, with
+    // later rows witnessed by earlier firings of the same round, so the
+    // firing order decides the fresh-null names.
     let rules = [
         tgd("(x, f, y)", &["z"], "(y, h, z)"),
         tgd("(x, h, y)", &["w"], "(y, g0, w)"),
@@ -75,9 +77,9 @@ fn dense_chase_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn randomized_chases_are_byte_identical_across_worker_counts() {
-    // Property-style sweep: random small graphs and rule sets. Mostly
-    // below the parallel thresholds — this pins that threshold decisions
-    // themselves can never leak into results.
+    // Property-style sweep: random small graphs and rule sets. This pins
+    // that the worker count never leaks into results, whatever the
+    // graph's shape.
     let mut r = rng(0xd17e);
     for case in 0..24 {
         let mut g = Graph::new();
